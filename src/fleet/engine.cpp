@@ -6,29 +6,18 @@
 #include <stdexcept>
 
 #include "fleet/router.hpp"
-#include "platform/presets.hpp"
 #include "prof/profiler.hpp"
-#include "runtime/engine.hpp"
+#include "serving/device_step.hpp"
 #include "serving/engine.hpp"
-#include "serving/queue.hpp"
-#include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
-#include "workload/dataset.hpp"
 
 namespace lotus::fleet {
 
 namespace {
 
-/// EWMA weight of the newest service-time sample in the per-device
-/// expected-service estimate (same constant as the serving engine).
-constexpr double kServiceEwma = 0.3;
-
-/// Clock-comparison tolerance (see serving/engine.cpp): the idle integrator
-/// sums slices, so a device clock can land a few ulps short of the instant
-/// it targeted.
-constexpr double kTimeEps = 1e-9;
+using serving::kTimeEps;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -41,19 +30,20 @@ struct Staged {
     double ready_s = 0.0;
 };
 
-/// One device slot at run time: the simulated device, its inference engine,
-/// its own governor and queue discipline, and the dispatcher-side bookkeeping
-/// the router reads.
-struct Worker {
+/// One device slot at run time: the shared per-device step (device, engine,
+/// scheduler, queue) plus its own governor and the dispatcher-side
+/// bookkeeping the router reads.
+struct Worker : serving::DeviceStep {
     Worker(const FleetDevice& slot, double ambient, const runtime::EngineConfig& engine_cfg,
            std::unique_ptr<governors::Governor> gov, const std::string& scheduler_name)
-        : spec(&slot), device([&] {
-              auto s = slot.spec;
-              if (slot.ambient_overridden()) s.initial_ambient_celsius = slot.ambient_celsius;
-              return s;
-          }()),
-          engine(device, engine_cfg), governor(std::move(gov)),
-          scheduler(serving::make_scheduler(scheduler_name)) {
+        : DeviceStep(
+              [&] {
+                  auto s = slot.spec;
+                  if (slot.ambient_overridden()) s.initial_ambient_celsius = slot.ambient_celsius;
+                  return s;
+              }(),
+              engine_cfg, scheduler_name),
+          spec(&slot), governor(std::move(gov)) {
         // Telemetry processes are named by slot id, not spec name, so
         // identical twins stay distinguishable in a trace.
         device.set_telemetry_label(slot.id);
@@ -86,14 +76,8 @@ struct Worker {
     }
 
     const FleetDevice* spec;
-    platform::EdgeDevice device;
-    runtime::InferenceEngine engine;
     std::unique_ptr<governors::Governor> governor;
-    std::unique_ptr<serving::Scheduler> scheduler;
-    serving::RequestQueue queue;
     std::vector<Staged> inbox;
-    double expected_service_s = 0.0;
-    std::size_t iteration = 0;
     std::size_t max_depth = 0;
     std::size_t migrations_out = 0;
     double peak_temp_c = 0.0;
@@ -134,22 +118,8 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
             throw std::invalid_argument("FleetEngine: duplicate device id '" + d.id + "'");
         }
     }
-    if (config_.streams.empty()) {
-        throw std::invalid_argument("FleetEngine: no streams configured");
-    }
-    for (const auto& s : config_.streams) {
-        if (s.requests == 0) {
-            throw std::invalid_argument("FleetEngine: stream '" + s.name +
-                                        "' emits zero requests");
-        }
-        if (s.slo_s <= 0.0) {
-            throw std::invalid_argument("FleetEngine: stream '" + s.name +
-                                        "' has a non-positive SLO");
-        }
-        (void)workload::dataset_by_name(s.dataset); // throws on unknown dataset
-    }
-    (void)serving::make_scheduler(config_.scheduler); // throws on unknown policy
-    (void)make_router(config_.router);                // throws on unknown router
+    serving::validate_streams(config_.streams, config_.scheduler, "FleetEngine");
+    (void)make_router(config_.router); // throws on unknown router
 }
 
 std::vector<serving::Request> FleetEngine::build_requests() const {
@@ -187,41 +157,19 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         return config_.streams.front().slo_s;
     };
 
-    // --- per-device pre-training (not recorded; device-id-namespaced) ------
-    if (config_.pretrain_iterations > 0) {
-        // Pretrain advances each device clock then rewinds it via reset();
-        // recording it would break the trace's monotonic timeline.
-        telemetry::SuspendScope no_telemetry;
-        const auto& warm = config_.streams.front();
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            auto& w = *workers[i];
-            // Non-learning governors need no warm-up (harness rule).
-            if (w.governor->decision_overhead_s() == 0.0) continue;
-            // Exactly the stream a per-device ServingEngine would draw with
-            // ServingConfig::instance = device id (ids are unique, so the
-            // namespace alone decorrelates identical twins).
-            workload::FrameStream stream(
-                workload::dataset_by_name(warm.dataset),
-                util::derive_seed(config_.seed,
-                                  w.spec->id + "/pretrain/" + warm.dataset, 0));
-            const double constraint = slot_pretrain_constraint(*w.spec);
-            for (std::size_t k = 0; k < config_.pretrain_iterations; ++k) {
-                w.engine.run_frame(model, stream.next(), *w.governor, constraint, k);
-            }
-            w.device.reset();
-            w.engine.reset();
-        }
-    }
-
-    // Governor-informed service prior: before a device completes its first
-    // request, the router estimates its pace from the calibrated single-frame
-    // constraint (per-device in heterogeneous pools).
+    // Per-device warm-up (unrecorded; the device id namespaces the frame
+    // stream, so identical twins draw different frames). Then the
+    // governor-informed service prior: before a device completes its first
+    // request, the router estimates its pace from the calibrated
+    // single-frame constraint (per-device in heterogeneous pools).
     for (auto& w : workers) {
-        w->expected_service_s = slot_pretrain_constraint(*w->spec);
+        const double constraint = slot_pretrain_constraint(*w->spec);
+        w->warm_up(model, *w->governor, config_.seed, w->spec->id,
+                   config_.streams.front().dataset, config_.pretrain_iterations, constraint);
+        w->expected_service_s = constraint;
     }
 
     const auto requests = build_requests();
-    std::vector<char> migrated(requests.size(), 0);
 
     std::vector<std::string> device_names;
     for (const auto& d : config_.devices) device_names.push_back(d.id);
@@ -233,76 +181,14 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
     auto router = make_router(config_.router);
 
-    // Routing decisions live on the "fleet"/"router" track; request spans on
-    // their stream tracks; per-device breaches against the device so the
-    // flight recorder snapshots what that device was doing.
+    // Routing decisions live on the "fleet"/"router" track (created first);
+    // request spans on their stream tracks; per-device events on the
+    // device's own tracks.
     auto* tel = telemetry::current();
-    auto* rollup = tel ? tel->rollup() : nullptr;
-    int tel_router = -1;
-    std::vector<int> tel_streams;
-    std::vector<std::size_t> tel_depths(workers.size(),
-                                        static_cast<std::size_t>(-1));
-    if (tel) {
-        tel_router = tel->track("fleet", "router");
-        tel_streams.reserve(config_.streams.size());
-        for (const auto& s : config_.streams) {
-            tel_streams.push_back(tel->track("streams", s.name));
-        }
-    }
-    const auto tel_queue_depth = [&](std::size_t index, double t) {
-        if (!tel) return;
-        auto& w = *workers[index];
-        if (w.pending() == tel_depths[index]) return;
-        tel_depths[index] = w.pending();
-        tel->counter(tel->track(w.spec->id, "queue"), "queue_depth", t,
-                     static_cast<double>(w.pending()));
-    };
-
-    const auto record_shed = [&](const serving::Request& r, double now,
-                                 std::size_t device_index) {
-        if (rollup) {
-            // Router-level sheds (no live device) roll up under the
-            // "fleet" pseudo-device, matching their breach track.
-            rollup->record_request(device_index != FleetRecord::kNoDevice
-                                       ? workers[device_index]->spec->id
-                                       : std::string("fleet"),
-                                   config_.streams[r.stream].name, now,
-                                   telemetry::Rollup::Outcome::shed, 0.0,
-                                   std::max(0.0, now - r.arrival_s) * 1e3);
-        }
-        if (tel) {
-            tel->async_end(tel_streams[r.stream], "request", r.id, now,
-                           "\"outcome\":\"shed\",\"queued_ms\":" +
-                               telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
-            const bool on_device = device_index != FleetRecord::kNoDevice;
-            const int breach_track =
-                on_device ? tel->track(workers[device_index]->spec->id, "platform")
-                          : tel_router;
-            tel->breach(breach_track, "shed", r.id, now,
-                        "\"stream\":" + telemetry::jstr(config_.streams[r.stream].name) +
-                            ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3) +
-                            ",\"device\":" +
-                            (on_device ? telemetry::jstr(workers[device_index]->spec->id)
-                                       : std::string("null")));
-        }
-        serving::ServingRecord row;
-        row.request_id = r.id;
-        row.stream = r.stream;
-        row.arrival_s = r.arrival_s;
-        row.start_s = now;
-        row.queue_wait_s = std::max(0.0, now - r.arrival_s);
-        row.e2e_s = row.queue_wait_s;
-        row.slo_s = r.slo_s;
-        row.shed = true;
-        row.missed = true;
-        row.proposals = r.frame.proposals;
-        if (device_index != FleetRecord::kNoDevice) {
-            const auto& w = *workers[device_index];
-            row.cpu_temp = w.device.cpu_temp();
-            row.gpu_temp = w.device.gpu_temp();
-        }
-        trace.add(FleetRecord{std::move(row), device_index,
-                              migrated[r.id] != 0});
+    const int tel_router = tel ? tel->track("fleet", "router") : -1;
+    const serving::StepContext ctx(model, config_.streams);
+    const auto note_depth = [&](std::size_t index, double t) {
+        workers[index]->note_depth(ctx, t, workers[index]->pending());
     };
 
     const auto make_views = [&](double now, std::size_t exclude) {
@@ -338,7 +224,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         const auto views = make_views(now, exclude);
         const auto idx = router->route(views, req, now);
         if (idx == Router::npos) {
-            record_shed(req, now, FleetRecord::kNoDevice);
+            trace.add(FleetRecord{ctx.shed(req, now, nullptr, tel_router),
+                                  FleetRecord::kNoDevice, req.migrated});
             return;
         }
         if (tel) {
@@ -347,12 +234,12 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                              ",\"stream\":" +
                              telemetry::jstr(config_.streams[req.stream].name) +
                              ",\"device\":" + telemetry::jstr(workers[idx]->spec->id) +
-                             ",\"rerouted\":" + (migrated[req.id] ? "true" : "false"));
+                             ",\"rerouted\":" + (req.migrated ? "true" : "false"));
         }
         auto& w = *workers[idx];
         w.inbox.push_back(Staged{std::move(req), now});
         w.max_depth = std::max(w.max_depth, w.pending());
-        tel_queue_depth(idx, now);
+        note_depth(idx, now);
     };
 
     /// Pull every queued/staged request off `w` and re-route it across the
@@ -375,9 +262,9 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                          "\"device\":" + telemetry::jstr(w.spec->id) +
                              ",\"requests\":" + std::to_string(displaced.size()));
         }
-        tel_queue_depth(index, now);
+        note_depth(index, now);
         for (auto& r : displaced) {
-            migrated[r.id] = 1;
+            r.migrated = true;
             route_request(std::move(r), now, index);
         }
     };
@@ -402,70 +289,17 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             }
         }
 
-        auto decision = w.scheduler->pick(w.queue, now, w.expected_service_s);
-        for (auto& r : decision.shed) record_shed(r, now, index);
-        tel_queue_depth(index, now);
+        auto decision = w.pick(now);
+        for (const auto& r : decision.shed) {
+            trace.add(FleetRecord{w.shed(ctx, r, now), index, r.migrated});
+        }
+        note_depth(index, now);
         if (!decision.next) return;
 
-        serving::Request req = std::move(*decision.next);
-        const double wait = std::max(0.0, now - req.arrival_s);
-        if (tel) {
-            tel->instant(tel->track(w.spec->id, "queue"), "dispatch", now,
-                         "\"request_id\":" + std::to_string(req.id) +
-                             ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
-                             ",\"queue_wait_ms\":" + telemetry::jnum(wait * 1e3));
-        }
-        const auto result = w.engine.run_frame(model, req.frame, *w.governor, req.slo_s,
-                                               w.iteration++, wait);
+        const auto row = w.serve(ctx, *decision.next, now, *w.governor);
         w.observe_peak();
-
-        serving::ServingRecord row;
-        row.request_id = req.id;
-        row.stream = req.stream;
-        row.arrival_s = req.arrival_s;
-        row.start_s = result.start_time_s;
-        row.queue_wait_s = wait;
-        row.service_s = result.latency_s;
-        row.e2e_s = result.e2e_latency_s();
-        row.slo_s = req.slo_s;
-        row.missed = !serving::slo_satisfied(row.e2e_s, req.slo_s);
-        row.throttled = result.throttled;
-        row.proposals = result.proposals_used;
-        row.cpu_temp = result.cpu_temp;
-        row.gpu_temp = result.gpu_temp;
-        row.energy_j = result.energy_j;
-        if (rollup) {
-            rollup->record_request(w.spec->id, config_.streams[req.stream].name,
-                                   w.device.now(),
-                                   row.missed ? telemetry::Rollup::Outcome::late
-                                              : telemetry::Rollup::Outcome::ok,
-                                   row.e2e_s * 1e3, wait * 1e3);
-        }
-        if (tel) {
-            const double done = w.device.now();
-            tel->async_end(tel_streams[req.stream], "request", req.id, done,
-                           std::string("\"outcome\":\"") +
-                               (row.missed ? "missed" : "served") +
-                               "\",\"device\":" + telemetry::jstr(w.spec->id) +
-                               ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
-            if (row.missed) {
-                tel->breach(tel->track(w.spec->id, "platform"), "slo_miss", req.id, done,
-                            "\"stream\":" +
-                                telemetry::jstr(config_.streams[req.stream].name) +
-                                ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
-                                ",\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3) +
-                                ",\"device\":" + telemetry::jstr(w.spec->id));
-            }
-        }
-        trace.add(FleetRecord{std::move(row), index, migrated[req.id] != 0});
-
-        w.expected_service_s = w.expected_service_s <= 0.0
-                                   ? result.latency_s
-                                   : (1.0 - kServiceEwma) * w.expected_service_s +
-                                         kServiceEwma * result.latency_s;
-
-        if (config_.migrate_on_throttle && result.throttled && w.pending() > 0) {
+        trace.add(FleetRecord{row, index, decision.next->migrated});
+        if (config_.migrate_on_throttle && row.throttled && w.pending() > 0) {
             migrate_off(index, w.device.now());
         }
     };
@@ -540,10 +374,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                 migrate_off(i, t_fail);
             }
         }
-        if (tel) {
-            tel->async_begin(tel_streams[req.stream], "request", req.id, req.arrival_s,
-                             "\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3));
-        }
+        ctx.arrive(req);
         route_request(std::move(req), t_arr, Router::npos);
     }
 

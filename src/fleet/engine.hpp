@@ -30,6 +30,10 @@
 // trips throttle likewise drains the device's queue to the rest of the
 // pool -- work shifts away from a hot die before the backlog bakes on it.
 //
+// Each slot runs the per-device step the serving engine runs too
+// (serving::DeviceStep); this engine adds routing, migration and failure
+// drain in front of it.
+//
 // run() is const and reentrant: every call builds its own devices,
 // engines, governors, router and queues, so harness episodes execute from
 // concurrent threads byte-identically to a serial run.

@@ -106,8 +106,6 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         serving_cfg.seed = cfg.seed;
         if (!replay_from.empty()) serving_cfg.replay_trace = replay_from;
         if (config_.summary_only) serving_cfg.capture_rows = false;
-        // Non-learning governors need no warm-up (same rule as below).
-        if (governor->decision_overhead_s() == 0.0) serving_cfg.pretrain_iterations = 0;
         const serving::ServingEngine engine(serving_cfg);
         auto trace = engine.run(*governor);
         return EpisodeResult{scenario.name,    arm.name,

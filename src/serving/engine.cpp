@@ -4,64 +4,29 @@
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
-#include "runtime/engine.hpp"
-#include "serving/scheduler.hpp"
+#include "serving/device_step.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
 
 namespace lotus::serving {
 
-namespace {
-
-/// EWMA weight of the newest service-time sample in the scheduler's
-/// expected-service estimate.
-constexpr double kServiceEwma = 0.3;
-
-/// Tolerance when comparing simulated clock against arrival times: the idle
-/// integrator sums slices, so the clock can land a few ulps short of the
-/// arrival it targeted. Guarantees the event loop always makes progress.
-constexpr double kTimeEps = 1e-9;
-
-/// Prefix a derive_seed stream id with the engine instance namespace; the
-/// empty instance maps to the bare id so historical seeds are preserved.
-std::string seed_id(const std::string& instance, const std::string& what) {
-    return instance.empty() ? what : instance + "/" + what;
-}
-
-} // namespace
-
 ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) {
-    if (config_.streams.empty()) {
-        throw std::invalid_argument("ServingEngine: no streams configured");
-    }
-    for (const auto& s : config_.streams) {
-        if (s.requests == 0) {
-            throw std::invalid_argument("ServingEngine: stream '" + s.name +
-                                        "' emits zero requests");
-        }
-        if (s.slo_s <= 0.0) {
-            throw std::invalid_argument("ServingEngine: stream '" + s.name +
-                                        "' has a non-positive SLO");
-        }
-        (void)workload::dataset_by_name(s.dataset); // throws on unknown dataset
-    }
-    (void)make_scheduler(config_.scheduler); // throws on unknown policy
+    validate_streams(config_.streams, config_.scheduler, "ServingEngine");
 }
 
-std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& instance,
-                                  const std::string& stream_name, std::size_t index) {
-    return util::derive_seed(seed, seed_id(instance, "arrivals/" + stream_name), index);
+std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                  std::size_t index) {
+    return util::derive_seed(seed, "arrivals/" + stream_name, index);
 }
 
-std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& instance,
-                                const std::string& stream_name, std::size_t index) {
-    return util::derive_seed(seed, seed_id(instance, "frames/" + stream_name), index);
+std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                std::size_t index) {
+    return util::derive_seed(seed, "frames/" + stream_name, index);
 }
 
 std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
-                                            std::uint64_t seed,
-                                            const std::string& instance) {
+                                            std::uint64_t seed) {
     std::vector<Request> all;
     std::size_t total = 0;
     for (const auto& stream : streams) total += stream.requests;
@@ -70,10 +35,10 @@ std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& strea
         const auto& stream = streams[s];
         const auto arrivals = generate_arrivals(
             stream.arrival, stream.requests,
-            arrival_stream_seed(seed, instance, stream.name, s));
+            arrival_stream_seed(seed, stream.name, s));
         workload::FrameStream frames(
             workload::dataset_by_name(stream.dataset),
-            frame_stream_seed(seed, instance, stream.name, s));
+            frame_stream_seed(seed, stream.name, s));
         for (std::size_t k = 0; k < stream.requests; ++k) {
             Request r;
             r.stream = s;
@@ -99,196 +64,67 @@ std::vector<Request> ServingEngine::build_requests() const {
     if (!config_.replay_trace.empty()) {
         return trace::load_requests(config_.replay_trace, config_.streams);
     }
-    return build_request_timeline(config_.streams, config_.seed, config_.instance);
+    return build_request_timeline(config_.streams, config_.seed);
 }
 
 ServingTrace ServingEngine::run(governors::Governor& governor) const {
     LOTUS_PROF_SCOPE("serving.run");
-    platform::EdgeDevice device(config_.device_spec);
-    device.set_ambient(config_.ambient_celsius);
-    runtime::InferenceEngine engine(device, config_.engine);
     const auto model = detector::make_detector(config_.detector);
-    auto scheduler = make_scheduler(config_.scheduler);
-
-    // --- pre-training phase (not recorded; mirrors ExperimentRunner) --------
-    if (config_.pretrain_iterations > 0) {
-        // Pretrain advances the clock and then rewinds it via reset();
-        // recording it would break the trace's monotonic timeline.
-        telemetry::SuspendScope no_telemetry;
-        const auto& warm = config_.streams.front();
-        const double constraint = config_.pretrain_constraint_s > 0.0
-                                      ? config_.pretrain_constraint_s
-                                      : warm.slo_s;
-        workload::FrameStream stream(
-            workload::dataset_by_name(warm.dataset),
-            util::derive_seed(config_.seed,
-                              seed_id(config_.instance, "pretrain/" + warm.dataset), 0));
-        for (std::size_t i = 0; i < config_.pretrain_iterations; ++i) {
-            engine.run_frame(model, stream.next(), governor, constraint, i);
-        }
-        device.reset();
-        engine.reset();
-    }
+    DeviceStep step(config_.device_spec, config_.engine, config_.scheduler);
+    step.device.set_ambient(config_.ambient_celsius);
+    const auto& warm = config_.streams.front();
+    step.warm_up(model, governor, config_.seed, "", warm.dataset,
+                 config_.pretrain_iterations,
+                 config_.pretrain_constraint_s > 0.0 ? config_.pretrain_constraint_s
+                                                     : warm.slo_s);
 
     const auto requests = build_requests();
     std::vector<std::string> names;
     names.reserve(config_.streams.size());
     for (const auto& s : config_.streams) names.push_back(s.name);
-
     ServingTrace trace(std::move(names), config_.capture_rows);
     trace.reserve(requests.size());
-    RequestQueue queue;
-    std::size_t next_arrival = 0;
-    std::size_t iteration = 0;
-    double expected_service = 0.0;
 
-    // Request-lifecycle spans: one async span per request on its stream's
-    // track ("streams" pseudo-process), breaches recorded against the
-    // device so the flight recorder snapshots what the device was doing.
-    auto* tel = telemetry::current();
-    auto* rollup = tel ? tel->rollup() : nullptr;
-    int tel_dev = -1;
-    int tel_queue = -1;
-    std::vector<int> tel_streams;
-    std::size_t tel_last_depth = static_cast<std::size_t>(-1);
-    if (tel) {
-        tel->set_context(device.telemetry_label());
-        tel_dev = tel->track(device.telemetry_label(), "platform");
-        tel_queue = tel->track(device.telemetry_label(), "queue");
-        tel_streams.reserve(config_.streams.size());
-        for (const auto& s : config_.streams) {
-            tel_streams.push_back(tel->track("streams", s.name));
-        }
+    // The device's platform and queue tracks come first, then one request
+    // span track per stream.
+    if (auto* tel = telemetry::current()) {
+        const auto& label = step.device.telemetry_label();
+        tel->set_context(label);
+        (void)tel->track(label, "platform");
+        (void)tel->track(label, "queue");
     }
-    const auto tel_queue_depth = [&](double t) {
-        if (!tel || queue.size() == tel_last_depth) return;
-        tel_last_depth = queue.size();
-        tel->counter(tel_queue, "queue_depth", t, static_cast<double>(queue.size()));
-    };
+    const StepContext ctx(model, config_.streams);
 
-    const auto record_shed = [&](Request&& r, double now) {
-        if (rollup) {
-            rollup->record_request(device.telemetry_label(),
-                                   config_.streams[r.stream].name, now,
-                                   telemetry::Rollup::Outcome::shed, 0.0,
-                                   std::max(0.0, now - r.arrival_s) * 1e3);
-        }
-        if (tel) {
-            tel->async_end(tel_streams[r.stream], "request", r.id, now,
-                           "\"outcome\":\"shed\",\"queued_ms\":" +
-                               telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
-            tel->breach(tel_dev, "shed", r.id, now,
-                        "\"stream\":" + telemetry::jstr(config_.streams[r.stream].name) +
-                            ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
-        }
-        ServingRecord row;
-        row.request_id = r.id;
-        row.stream = r.stream;
-        row.arrival_s = r.arrival_s;
-        row.start_s = now;
-        row.queue_wait_s = std::max(0.0, now - r.arrival_s);
-        row.e2e_s = row.queue_wait_s;
-        row.slo_s = r.slo_s;
-        row.shed = true;
-        row.missed = true;
-        row.proposals = r.frame.proposals;
-        row.cpu_temp = device.cpu_temp();
-        row.gpu_temp = device.gpu_temp();
-        trace.add(std::move(row));
-    };
-
-    while (next_arrival < requests.size() || !queue.empty()) {
-        const double now = device.now();
+    std::size_t next_arrival = 0;
+    while (next_arrival < requests.size() || !step.queue.empty()) {
+        const double now = step.device.now();
         while (next_arrival < requests.size() &&
                requests[next_arrival].arrival_s <= now + kTimeEps) {
-            const Request& r = requests[next_arrival];
-            if (tel) {
-                // Span opens at the true arrival instant (possibly a hair
-                // before `now`); exporters order by timestamp, not append
-                // order, so the trace stays monotonic.
-                tel->async_begin(tel_streams[r.stream], "request", r.id, r.arrival_s,
-                                 "\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
-            }
-            queue.push(requests[next_arrival++]);
+            ctx.arrive(requests[next_arrival]);
+            step.queue.push(requests[next_arrival++]);
         }
-        tel_queue_depth(now);
-        if (queue.empty()) {
+        step.note_depth(ctx, now, step.queue.size());
+        if (step.queue.empty()) {
             // Device is free but no request is pending: idle (and cool)
             // until the next arrival.
-            engine.run_idle(std::max(requests[next_arrival].arrival_s - now, kTimeEps),
-                            governor);
+            step.engine.run_idle(std::max(requests[next_arrival].arrival_s - now, kTimeEps),
+                                 governor);
             continue;
         }
 
-        auto decision = scheduler->pick(queue, now, expected_service);
-        for (auto& r : decision.shed) record_shed(std::move(r), now);
-        tel_queue_depth(now);
+        auto decision = step.pick(now);
+        for (const auto& r : decision.shed) trace.add(step.shed(ctx, r, now));
+        step.note_depth(ctx, now, step.queue.size());
         if (!decision.next) continue;
         LOTUS_PROF_SCOPE("serving.dispatch");
         LOTUS_PROF_COUNT("serving.requests", 1);
-
-        Request req = std::move(*decision.next);
-        // Admission tolerates kTimeEps of clock shortfall; never report a
-        // negative wait for a request taken the instant it arrived.
-        const double wait = std::max(0.0, now - req.arrival_s);
-        if (tel) {
-            tel->instant(tel_queue, "dispatch", now,
-                         "\"request_id\":" + std::to_string(req.id) +
-                             ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
-                             ",\"queue_wait_ms\":" + telemetry::jnum(wait * 1e3));
-        }
-        const auto result =
-            engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
-
-        ServingRecord row;
-        row.request_id = req.id;
-        row.stream = req.stream;
-        row.arrival_s = req.arrival_s;
-        row.start_s = result.start_time_s;
-        row.queue_wait_s = wait;
-        row.service_s = result.latency_s;
-        row.e2e_s = result.e2e_latency_s();
-        row.slo_s = req.slo_s;
-        row.missed = !slo_satisfied(row.e2e_s, req.slo_s);
-        row.throttled = result.throttled;
-        row.proposals = result.proposals_used;
-        row.cpu_temp = result.cpu_temp;
-        row.gpu_temp = result.gpu_temp;
-        row.energy_j = result.energy_j;
-        if (rollup) {
-            rollup->record_request(device.telemetry_label(),
-                                   config_.streams[req.stream].name, device.now(),
-                                   row.missed ? telemetry::Rollup::Outcome::late
-                                              : telemetry::Rollup::Outcome::ok,
-                                   row.e2e_s * 1e3, wait * 1e3);
-        }
-        if (tel) {
-            const double done = device.now();
-            tel->async_end(tel_streams[req.stream], "request", req.id, done,
-                           std::string("\"outcome\":\"") +
-                               (row.missed ? "missed" : "served") +
-                               "\",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
-            if (row.missed) {
-                tel->breach(tel_dev, "slo_miss", req.id, done,
-                            "\"stream\":" +
-                                telemetry::jstr(config_.streams[req.stream].name) +
-                                ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
-                                ",\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3));
-            }
-        }
-        trace.add(std::move(row));
-
-        expected_service = expected_service <= 0.0
-                               ? result.latency_s
-                               : (1.0 - kServiceEwma) * expected_service +
-                                     kServiceEwma * result.latency_s;
+        trace.add(step.serve(ctx, *decision.next, now, governor));
     }
 
-    trace.set_makespan(device.now());
-    trace.set_total_energy(device.energy_joules());
-    trace.set_max_queue_depth(queue.max_depth());
-    trace.set_thermal_steps(device.thermal_steps());
+    trace.set_makespan(step.device.now());
+    trace.set_total_energy(step.device.energy_joules());
+    trace.set_max_queue_depth(step.queue.max_depth());
+    trace.set_thermal_steps(step.device.thermal_steps());
     return trace;
 }
 

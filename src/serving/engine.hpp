@@ -17,6 +17,10 @@
 //    and timer-driven governors keep ticking;
 //  * shed requests (admission control) count as SLO violations.
 //
+// The device side of each scheduling step (pick, shed rows, the frame and
+// its served row, their telemetry) is serving::DeviceStep, shared with the
+// fleet engine; this engine adds the arrival loop in front of it.
+//
 // run() is const and reentrant: every call builds its own device, engine,
 // streams and scheduler, so harness episodes execute from concurrent
 // threads, one governor per thread, byte-identically to a serial run.
@@ -29,31 +33,25 @@ namespace lotus::serving {
 
 /// Materialise the merged, arrival-ordered request timeline of a stream set:
 /// per-stream arrival times and frame samples are pure functions of
-/// (seed, instance, stream name, stream index), then the per-stream
-/// timelines merge with deterministic tie-breaks and ids in global arrival
-/// order. `instance` namespaces the seed derivation (see
-/// ServingConfig::instance); "" reproduces the historical derivation.
+/// (seed, stream name, stream index), then the per-stream timelines merge
+/// with deterministic tie-breaks and ids in global arrival order.
 [[nodiscard]] std::vector<Request> build_request_timeline(
-    const std::vector<StreamSpec>& streams, std::uint64_t seed,
-    const std::string& instance = "");
+    const std::vector<StreamSpec>& streams, std::uint64_t seed);
 
 /// The derive_seed inputs build_request_timeline uses for stream `index`'s
 /// arrival process / frame stream. Exported so trace synthesis
 /// (trace::synth_trace) can reproduce a timeline stream-by-stream without
 /// materialising it.
 [[nodiscard]] std::uint64_t arrival_stream_seed(std::uint64_t seed,
-                                                const std::string& instance,
                                                 const std::string& stream_name,
                                                 std::size_t index);
 [[nodiscard]] std::uint64_t frame_stream_seed(std::uint64_t seed,
-                                              const std::string& instance,
                                               const std::string& stream_name,
                                               std::size_t index);
 
 class ServingEngine {
 public:
-    /// Validates the config (throws std::invalid_argument on empty streams,
-    /// non-positive SLOs/rates, unknown datasets or schedulers).
+    /// Validates the streams and scheduler (see validate_streams).
     explicit ServingEngine(ServingConfig config);
 
     /// Serve every stream's requests to completion under the governor.

@@ -36,6 +36,9 @@ struct Request {
     /// Relative deadline (the stream's SLO).
     double slo_s = 0.0;
     workload::FrameSample frame;
+    /// Re-routed off another fleet device at least once (throttle migration
+    /// or failure drain); always false on a single device.
+    bool migrated = false;
 
     [[nodiscard]] double deadline_s() const noexcept { return arrival_s + slo_s; }
 };
@@ -74,13 +77,6 @@ struct ServingConfig {
     double pretrain_constraint_s = 0.0;
     std::uint64_t seed = 42;
     double ambient_celsius = 25.0;
-    /// Seed namespace folded into every util::derive_seed call (arrivals,
-    /// frames, pre-training). Two engine instances replaying the *same*
-    /// stream configs must not draw identical randomness when they model
-    /// different physical devices -- the fleet layer sets this to the device
-    /// id. Empty (the single-device default) reproduces the historical seed
-    /// derivation exactly.
-    std::string instance;
     /// Materialise the per-request ledger. Turn off for the summary-only
     /// fast path (bit-identical summaries, no per-row storage) when no CSV
     /// dump or chart column extraction is needed.

@@ -269,6 +269,20 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
     };
 
+    /// The device is past its failure instant: withdraw it and re-route
+    /// everything it still holds.
+    const auto fail_over = [&](std::size_t index) {
+        auto& w = *workers[index];
+        w.drained = true;
+        const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
+        if (tel) {
+            tel->instant(tel_router, "device_failed", t_fail,
+                         "\"device\":" + telemetry::jstr(w.spec->id) +
+                             ",\"pending\":" + std::to_string(w.pending()));
+        }
+        migrate_off(index, t_fail);
+    };
+
     /// Serve one scheduling step on `w`: idle up to the event instant, move
     /// ready staged requests into the scheduler-visible queue, pick, run.
     const auto dispatch_one = [&](std::size_t index) {
@@ -334,16 +348,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         if (best != Router::npos && t_evt + kTimeEps < t_arr) {
             auto& w = *workers[best];
             if (!w.alive(std::max(t_evt, w.device.now()))) {
-                // The device is past its failure instant: withdraw it and
-                // re-route everything it still holds.
-                w.drained = true;
-                const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
-                if (tel) {
-                    tel->instant(tel_router, "device_failed", t_fail,
-                                 "\"device\":" + telemetry::jstr(w.spec->id) +
-                                     ",\"pending\":" + std::to_string(w.pending()));
-                }
-                migrate_off(best, t_fail);
+                fail_over(best);
             } else {
                 dispatch_one(best);
             }
@@ -363,16 +368,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             }
             // A device whose failure instant has passed gives up its queue
             // the moment the dispatcher acts at or after that instant.
-            if (!w.drained && !w.alive(t_arr) && w.pending() > 0) {
-                w.drained = true;
-                const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
-                if (tel) {
-                    tel->instant(tel_router, "device_failed", t_fail,
-                                 "\"device\":" + telemetry::jstr(w.spec->id) +
-                                     ",\"pending\":" + std::to_string(w.pending()));
-                }
-                migrate_off(i, t_fail);
-            }
+            if (!w.drained && !w.alive(t_arr) && w.pending() > 0) fail_over(i);
         }
         ctx.arrive(req);
         route_request(std::move(req), t_arr, Router::npos);

@@ -36,8 +36,6 @@
 #include "platform/opp.hpp"
 #include "platform/power.hpp"
 #include "platform/presets.hpp"
-#include "platform/sysfs.hpp"
-#include "platform/sysfs_client.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 
@@ -63,6 +61,7 @@
 
 // Serving runtime: multi-stream request queues over one device
 #include "serving/arrivals.hpp"
+#include "serving/device_step.hpp"
 #include "serving/engine.hpp"
 #include "serving/queue.hpp"
 #include "serving/request.hpp"

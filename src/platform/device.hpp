@@ -7,8 +7,7 @@
 // the way user space interacts with a Jetson or Android device:
 //   * request OPP levels (granted levels are clamped by the throttle caps),
 //   * burn compute time via advance(dt, cpu_util, gpu_util),
-//   * observe temperatures/frequencies -- directly or through the mounted
-//     sysfs tree.
+//   * observe temperatures/frequencies.
 //
 // advance() is the *single time-advance authority*: every path that moves
 // the simulated clock -- work slices, idle gaps, agent decision overhead
@@ -30,7 +29,6 @@
 
 #include "platform/opp.hpp"
 #include "platform/power.hpp"
-#include "platform/sysfs.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 
@@ -201,9 +199,6 @@ public:
     void reset();
 
     [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
-
-    /// Register the kernel-like sysfs nodes for this device on `fs`.
-    void mount_sysfs(SysfsFs& fs);
 
     // --- telemetry ----------------------------------------------------------
     /// Process name this device reports its telemetry under. Defaults to

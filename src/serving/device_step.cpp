@@ -150,7 +150,7 @@ ServingRecord DeviceStep::serve(const StepContext& ctx, const Request& req, doub
                              ",\"queue_wait_ms\":" + telemetry::jnum(wait * 1e3));
     }
     const auto result =
-        engine.run_frame(ctx.model, req.frame, governor, req.slo_s, frames++, wait);
+        engine.run_frame(ctx.model, req.frame, governor, req.slo_s, frames_++, wait);
 
     ServingRecord row;
     row.request_id = req.id;

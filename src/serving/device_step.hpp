@@ -118,10 +118,11 @@ public:
     RequestQueue queue;
     /// EWMA of recent execution latencies; the caller may set a prior.
     double expected_service_s = 0.0;
-    std::size_t frames = 0;
 
 private:
     int track(const StepContext& ctx, int& cache, const char* thread);
+
+    std::size_t frames_ = 0;
 
     int platform_track_ = -1;
     int queue_track_ = -1;

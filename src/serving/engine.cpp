@@ -1,7 +1,6 @@
 #include "serving/engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "prof/profiler.hpp"
 #include "serving/device_step.hpp"

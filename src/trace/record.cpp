@@ -1,5 +1,6 @@
 #include "trace/record.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 
@@ -122,7 +123,24 @@ std::vector<serving::Request> TraceArrivalSource::requests(
     std::vector<serving::Request> out;
     out.reserve(info_.record_count);
     TraceRecord rec;
-    while (reader.next(rec)) out.push_back(to_request(rec));
+    while (reader.next(rec)) {
+        // The engines' event loops assume a finite, non-negative,
+        // arrival-ordered timeline; a NaN arrival would never come due.
+        const char* defect = nullptr;
+        if (!std::isfinite(rec.arrival_s)) {
+            defect = "arrival_s is not finite";
+        } else if (rec.arrival_s < 0.0) {
+            defect = "arrival_s is negative";
+        } else if (!out.empty() && rec.arrival_s < out.back().arrival_s) {
+            defect = "arrival_s precedes the previous record's";
+        }
+        if (defect != nullptr) {
+            throw std::runtime_error("trace '" + path_ + "': record " +
+                                     std::to_string(out.size()) + " (id " +
+                                     std::to_string(rec.id) + "): " + defect);
+        }
+        out.push_back(to_request(rec));
+    }
     return out;
 }
 

@@ -71,7 +71,8 @@ public:
 
     /// Materialise the timeline, first checking that `streams` matches the
     /// recorded stream table (name, dataset, SLO, request count); throws
-    /// std::runtime_error naming the first mismatch otherwise.
+    /// std::runtime_error naming the first mismatch otherwise, or the first
+    /// record whose arrival is not finite, negative or out of order.
     [[nodiscard]] std::vector<serving::Request> requests(
         const std::vector<serving::StreamSpec>& streams) const;
 

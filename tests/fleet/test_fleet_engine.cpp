@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -19,6 +20,8 @@
 #include "harness/harness.hpp"
 #include "harness/sinks.hpp"
 #include "platform/presets.hpp"
+#include "trace/format.hpp"
+#include "trace/record.hpp"
 
 namespace lotus::fleet {
 namespace {
@@ -99,6 +102,10 @@ TEST(FleetEngine, ValidatesTheConfig) {
 
     cfg = small_config();
     cfg.streams.clear();
+    EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
+
+    cfg = small_config();
+    cfg.streams[1].slo_s = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
 }
 
@@ -220,6 +227,49 @@ TEST(FleetEngine, ThrottleMigrationDrainsTheHotQueue) {
     EXPECT_GT(migrated_rows, 0u);
     // Migrated requests still land somewhere and are accounted once.
     EXPECT_EQ(trace.aggregate().requests, trace.size());
+}
+
+TEST(FleetEngine, ReplayedIdsFromAFileNeverIndexEngineState) {
+    // Request ids in a replayed trace come from the file: a slice keeps its
+    // parent-timeline ids, and a crafted file can carry any id at all. The
+    // engine must treat them as labels only, migration included.
+    auto cfg = small_config();
+    for (auto& s : cfg.streams) {
+        s.requests = 10;
+        s.arrival.kind = serving::ArrivalKind::bursty;
+        s.arrival.burst = 10;
+        s.arrival.rate_hz = 2.0;
+    }
+    // The throttle-migration setup above, so requests do migrate.
+    cfg.devices[0].ambient_celsius = 86.0;
+    cfg.router = "round_robin";
+    cfg.scheduler = "edf";
+    cfg.migrate_on_throttle = true;
+    const auto dir = fs::temp_directory_path() / "lotus_fleet_replay_ids_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    auto requests = FleetEngine(cfg).build_requests();
+    for (auto& r : requests) r.id += std::size_t{1} << 40;
+    const auto crafted = (dir / "crafted.ltrc").string();
+    trace::write_trace(crafted, cfg.streams, requests);
+    cfg.replay_trace = crafted;
+    const auto replayed = FleetEngine(cfg).run(fixed_factory(7, 5), 3);
+    ASSERT_EQ(replayed.size(), requests.size());
+    std::size_t migrated_rows = 0;
+    for (const auto& r : replayed.records()) {
+        EXPECT_GE(r.row.request_id, std::size_t{1} << 40);
+        migrated_rows += r.migrated ? 1 : 0;
+    }
+    EXPECT_GT(migrated_rows, 0u);
+
+    trace::Reader whole(crafted);
+    const auto slice = (dir / "slice.ltrc").string();
+    trace::slice_records(whole, slice, 5, 10);
+    cfg.replay_trace = slice;
+    const auto sliced = FleetEngine(cfg).run(fixed_factory(7, 5), 3);
+    EXPECT_EQ(sliced.size(), 5u);
+    fs::remove_all(dir);
 }
 
 TEST(FleetEngine, FailedDeviceIsWithdrawnAndItsQueueReRoutes) {

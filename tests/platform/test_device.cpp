@@ -1,4 +1,4 @@
-// Tests for the EdgeDevice facade and the sysfs emulation layer.
+// Tests for the EdgeDevice facade.
 
 #include <gtest/gtest.h>
 
@@ -229,97 +229,6 @@ TEST(EdgeDevice, ResetRestoresColdStart) {
     EXPECT_NEAR(dev.cpu_temp(), dev.ambient(), 1e-9);
     // Requested levels survive a reset (reset is thermal, not config).
     EXPECT_EQ(dev.requested_cpu_level(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// sysfs.
-// ---------------------------------------------------------------------------
-
-TEST(Sysfs, RegistrationRules) {
-    SysfsFs fs;
-    fs.add_file("/a/b", [] { return "1"; });
-    EXPECT_THROW(fs.add_file("/a/b", [] { return "2"; }), std::invalid_argument);
-    EXPECT_THROW(fs.add_file("relative/path", [] { return "x"; }), std::invalid_argument);
-    EXPECT_THROW(fs.add_file("/a/c", SysfsFs::ReadFn{}), std::invalid_argument);
-}
-
-TEST(Sysfs, ReadWriteSemantics) {
-    SysfsFs fs;
-    int value = 5;
-    fs.add_file(
-        "/rw", [&] { return std::to_string(value); },
-        [&](const std::string& v) { value = std::stoi(v); });
-    fs.add_file("/ro", [] { return "7"; });
-
-    EXPECT_EQ(fs.read("/rw"), "5");
-    fs.write("/rw", "9");
-    EXPECT_EQ(value, 9);
-    EXPECT_EQ(fs.read_ll("/rw"), 9);
-    EXPECT_THROW(fs.write("/ro", "1"), std::runtime_error);
-    EXPECT_THROW((void)fs.read("/missing"), std::out_of_range);
-    EXPECT_THROW(fs.write("/missing", "1"), std::out_of_range);
-}
-
-TEST(Sysfs, ListByPrefix) {
-    SysfsFs fs;
-    fs.add_file("/sys/a", [] { return ""; });
-    fs.add_file("/sys/b", [] { return ""; });
-    fs.add_file("/proc/c", [] { return ""; });
-    EXPECT_EQ(fs.list("/sys").size(), 2u);
-    EXPECT_EQ(fs.list("/").size(), 3u);
-}
-
-class MountedSysfs : public ::testing::Test {
-protected:
-    MountedSysfs() : dev_(orin_nano_spec()) {
-        dev_.mount_sysfs(fs_);
-    }
-    EdgeDevice dev_;
-    SysfsFs fs_;
-};
-
-TEST_F(MountedSysfs, ExposesKernelLikeNodes) {
-    EXPECT_TRUE(fs_.exists("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq"));
-    EXPECT_TRUE(fs_.exists("/sys/class/devfreq/gpu/cur_freq"));
-    EXPECT_TRUE(fs_.exists("/sys/class/thermal/thermal_zone0/temp"));
-    EXPECT_TRUE(fs_.exists("/sys/class/thermal/thermal_zone1/temp"));
-}
-
-TEST_F(MountedSysfs, CpufreqReportsKhz) {
-    const auto khz =
-        fs_.read_ll("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq");
-    EXPECT_EQ(khz, static_cast<long long>(dev_.cpu_freq() / 1000.0));
-}
-
-TEST_F(MountedSysfs, ThermalZoneReportsMilliCelsius) {
-    dev_.advance(20.0, 1.0, 1.0);
-    const auto milli = fs_.read_ll("/sys/class/thermal/thermal_zone1/temp");
-    EXPECT_NEAR(static_cast<double>(milli) / 1000.0, dev_.gpu_temp(), 0.01);
-}
-
-TEST_F(MountedSysfs, SetspeedWriteChangesFrequency) {
-    const auto target_khz = static_cast<long long>(dev_.spec().cpu.opp.freq(2) / 1000.0);
-    fs_.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed",
-              std::to_string(target_khz));
-    EXPECT_EQ(dev_.cpu_level(), 2u);
-    fs_.write("/sys/class/devfreq/gpu/userspace/set_freq",
-              std::to_string(static_cast<long long>(dev_.spec().gpu.opp.freq(1))));
-    EXPECT_EQ(dev_.gpu_level(), 1u);
-}
-
-TEST_F(MountedSysfs, MaxFreqReflectsThrottleCap) {
-    // Heat until the GPU throttles and confirm the advertised max drops.
-    for (int i = 0; i < 400; ++i) dev_.advance(1.0, 0.3, 1.0);
-    ASSERT_TRUE(dev_.gpu_throttled());
-    const auto capped = fs_.read_ll("/sys/class/devfreq/gpu/max_freq");
-    EXPECT_LT(capped, static_cast<long long>(dev_.spec().gpu.opp.max_freq()));
-}
-
-TEST_F(MountedSysfs, AvailableFrequenciesListsLadder) {
-    const auto s = fs_.read("/sys/class/devfreq/gpu/available_frequencies");
-    // All six ladder entries, space separated.
-    EXPECT_EQ(std::count(s.begin(), s.end(), ' '), 5);
-    EXPECT_NE(s.find("624750000"), std::string::npos);
 }
 
 } // namespace

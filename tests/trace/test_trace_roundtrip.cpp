@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "governors/linux_governors.hpp"
+#include "platform/presets.hpp"
 #include "serving/engine.hpp"
 #include "trace/format.hpp"
 #include "trace/record.hpp"
@@ -351,6 +356,45 @@ TEST(TraceFormat, LoadRequestsRejectsMismatchedStreams) {
         EXPECT_NE(std::string(e.what()).find("stream table"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(TraceFormat, LoadRequestsRejectsBadArrivals) {
+    const TempDir dir("badarrivals");
+    const auto streams = serving_streams(8);
+    const auto timeline = serving::build_request_timeline(streams, 9);
+    const auto rejects = [&](const std::string& name, auto corrupt) {
+        auto requests = timeline;
+        corrupt(requests);
+        const auto path = dir.file(name + ".ltrc");
+        write_trace(path, streams, requests);
+        try {
+            (void)load_requests(path, streams);
+            ADD_FAILURE() << name << " arrival accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("arrival_s"), std::string::npos)
+                << e.what();
+        }
+    };
+    using Timeline = std::vector<serving::Request>;
+    rejects("nan", [](Timeline& t) { t[3].arrival_s = std::nan(""); });
+    rejects("inf", [](Timeline& t) {
+        t.back().arrival_s = std::numeric_limits<double>::infinity();
+    });
+    rejects("negative", [](Timeline& t) { t.front().arrival_s = -1.0; });
+    rejects("decreasing", [](Timeline& t) { std::swap(t[2].arrival_s, t[6].arrival_s); });
+}
+
+TEST(TraceFormat, ServingReplayOfANanArrivalFailsInsteadOfHanging) {
+    const TempDir dir("nanreplay");
+    const auto path = dir.file("nan.ltrc");
+    serving::ServingConfig cfg(platform::orin_nano_spec());
+    cfg.streams = serving_streams(4);
+    auto requests = serving::build_request_timeline(cfg.streams, cfg.seed);
+    requests.back().arrival_s = std::nan("");
+    write_trace(path, cfg.streams, requests);
+    cfg.replay_trace = path;
+    governors::FixedGovernor governor(5, 3);
+    EXPECT_THROW((void)serving::ServingEngine(cfg).run(governor), std::runtime_error);
 }
 
 TEST(TraceFormat, CaptureScopeRecordsTimelineBuilds) {

@@ -1,5 +1,6 @@
 #pragma once
-// Shared front-end glue for the CLI tools (lotus_run, lotus_serve).
+// Shared front-end glue for the CLI tools (lotus_run, lotus_serve,
+// lotus_sweep).
 //
 // Both tools speak the same dialect -- strict flag validation (unknown
 // flags, enum values and malformed numbers exit 2, no silent fallbacks),
@@ -9,6 +10,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,19 @@ namespace lotus::cli {
     std::fprintf(stderr, "%s: %s\n(see the header of tools/%s.cpp for usage)\n",
                  tool.c_str(), message.c_str(), tool.c_str());
     std::exit(2);
+}
+
+/// Run a tool's main body; an escaped std::exception (a missing replay
+/// file, an unwritable output directory) prints `tool: message` and exits
+/// 1 instead of aborting through std::terminate.
+template <class Body>
+int guarded_main(const std::string& tool, Body body) {
+    try {
+        return body();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", tool.c_str(), e.what());
+        return 1;
+    }
 }
 
 inline std::uint64_t parse_u64(const std::string& tool, const std::string& flag,

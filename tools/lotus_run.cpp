@@ -302,8 +302,10 @@ int run_single(const Options& opt) {
 } // namespace
 
 int main(int argc, char** argv) {
-    const auto opt = parse(argc, argv);
-    if (opt.list_scenarios) return list_scenarios();
-    if (!opt.scenarios.empty()) return run_scenarios(opt);
-    return run_single(opt);
+    return cli::guarded_main(kTool, [&] {
+        const auto opt = parse(argc, argv);
+        if (opt.list_scenarios) return list_scenarios();
+        if (!opt.scenarios.empty()) return run_scenarios(opt);
+        return run_single(opt);
+    });
 }

@@ -306,9 +306,7 @@ std::vector<Cell> build_cells(const Options& opt) {
     return cells;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run_sweep(int argc, char** argv) {
     const auto opt = parse(argc, argv);
     auto cells = build_cells(opt);
     const std::size_t total = cells.size();
@@ -331,13 +329,7 @@ int main(int argc, char** argv) {
                  harness.config().jobs,
                  static_cast<unsigned long long>(harness.config().seed));
 
-    std::vector<harness::EpisodeResult> results;
-    try {
-        results = harness.run(batch);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
-        return 1;
-    }
+    const auto results = harness.run(batch);
 
     std::filesystem::create_directories(opt.out_dir);
     std::ofstream csv(opt.out_dir + "/sweep.csv", std::ios::binary);
@@ -447,4 +439,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: wrote %s/sweep.csv and %s/sweep.json\n", kTool.c_str(),
                  opt.out_dir.c_str(), opt.out_dir.c_str());
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return cli::guarded_main(kTool, [&] { return run_sweep(argc, argv); });
 }

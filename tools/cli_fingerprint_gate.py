@@ -138,6 +138,11 @@ RUNS = [
     ("err_trace_slice_both_ranges", "lotus_trace",
      ["slice", "synth.ltrc", "o.ltrc", "--ids", "0:2", "--time", "1:2"], []),
     ("err_trace_missing_file", "lotus_trace", ["info", "no_such.ltrc"], []),
+    ("err_sweep_stream_flags_with_trace", "lotus_sweep",
+     ["--out", "x", "--trace", "synth.ltrc", "--streams", "9", "--requests", "3", "--slo", "10",
+      "--arrival", "burst", "--burst", "2", "--jobs", "1"], []),
+    ("err_trace_flags_the_verb_ignores", "lotus_trace",
+     ["info", "synth.ltrc", "--limit", "3", "--streams", "7", "--rate", "9"], []),
 ]
 
 PINNED = {
@@ -194,6 +199,8 @@ PINNED = {
     "err_trace_synth_without_requests": "6ba121d4427fde4e",
     "err_trace_slice_both_ranges": "fc407f5a038a8cfb",
     "err_trace_missing_file": "012de683a77b5e22",
+    "err_sweep_stream_flags_with_trace": "8c2b1bc9053445a8",
+    "err_trace_flags_the_verb_ignores": "37200569f43b5b3a",
 }
 
 BUILD_JSON = re.compile(rb'"build":"[^"]*"')

@@ -52,9 +52,7 @@
 // with a nonzero exit -- no silent fallbacks.
 
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cli_common.hpp"
 
@@ -64,99 +62,11 @@ namespace {
 
 const std::string kTool = "lotus_run";
 
+/// Single-run-only flags lotus_run parses itself.
 struct Options {
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    std::string dataset = "kitti";
-    std::string governor = "lotus";
     std::size_t iterations = 0; // 0 -> device default
-    std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
     double constraint_ms = 0.0; // 0 -> preset
-    std::string csv_path;
-    std::string telemetry_dir;
-    std::size_t telemetry_ring = 0; // 0 -> recorder default
-    cli::OutputFormat format = cli::OutputFormat::table;
-    bool chart = false;
-    bool profile = false;
-    bool list_scenarios = false;
-    std::vector<std::string> scenarios;
-    std::size_t jobs = 0; // 0 -> hardware concurrency
-    /// Single-run-only flags the user explicitly passed, so scenario mode
-    /// can reject them instead of silently ignoring an override.
-    std::vector<std::string> single_run_flags;
 };
-
-Options parse(int argc, char** argv) {
-    Options opt;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const bool single_run_only =
-            flag == "--device" || flag == "--detector" || flag == "--dataset" ||
-            flag == "--governor" || flag == "--iterations" || flag == "--pretrain" ||
-            flag == "--constraint";
-        if (single_run_only) opt.single_run_flags.push_back(flag);
-        if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
-        } else if (flag == "--governor") {
-            opt.governor = need_value(i);
-        } else if (flag == "--iterations") {
-            opt.iterations = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.iterations == 0) cli::usage_error(kTool, "--iterations must be > 0");
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
-        } else if (flag == "--constraint") {
-            opt.constraint_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--format") {
-            opt.format = cli::parse_format(kTool, need_value(i));
-        } else if (flag == "--csv") {
-            opt.csv_path = need_value(i);
-        } else if (flag == "--telemetry") {
-            opt.telemetry_dir = need_value(i);
-            if (opt.telemetry_dir.empty()) {
-                cli::usage_error(kTool, "--telemetry wants a directory");
-            }
-        } else if (flag == "--telemetry-ring") {
-            opt.telemetry_ring = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.telemetry_ring == 0) {
-                cli::usage_error(kTool, "--telemetry-ring must be >= 1");
-            }
-        } else if (flag == "--chart") {
-            opt.chart = true;
-        } else if (flag == "--profile") {
-            opt.profile = true;
-        } else if (flag == "--list-scenarios") {
-            opt.list_scenarios = true;
-        } else if (flag == "--scenario") {
-            opt.scenarios.push_back(need_value(i));
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_run.cpp for usage\n");
-            std::exit(0);
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
-        }
-    }
-    if (opt.telemetry_ring > 0 && opt.telemetry_dir.empty()) {
-        cli::usage_error(kTool, "--telemetry-ring requires --telemetry");
-    }
-    return opt;
-}
 
 int list_scenarios() {
     const auto& registry = harness::ScenarioRegistry::instance();
@@ -172,86 +82,40 @@ int list_scenarios() {
     return 0;
 }
 
-int run_scenarios(const Options& opt) {
-    if (!opt.single_run_flags.empty()) {
-        cli::usage_error(kTool, opt.single_run_flags.front() +
-                                    " only applies to single-run mode; scenario "
-                                    "definitions are fixed by the registry (tune "
-                                    "--seed/--jobs/--format/--chart/--csv instead)");
-    }
-    const auto& registry = harness::ScenarioRegistry::instance();
-    std::vector<const harness::Scenario*> batch;
-    for (const auto& name : opt.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr,
-                         "lotus_run: unknown scenario '%s' (try --list-scenarios)\n",
-                         name.c_str());
-            return 2;
-        }
-        batch.push_back(s);
-    }
-
-    cli::RenderOptions render;
-    render.format = opt.format;
-    render.chart = opt.chart;
-    render.csv_dir = opt.csv_path;
-    render.profile = opt.profile;
-    render.telemetry_dir = opt.telemetry_dir;
-    render.telemetry_ring = opt.telemetry_ring;
-    cli::reject_chart_with_json(kTool, render);
-    cli::apply_profile_flag(render);
-
-    const harness::ExperimentHarness harness(
-        cli::harness_config(render, opt.jobs, opt.seed.value));
-    // Status goes to stderr so stdout is byte-identical at any --jobs count.
-    std::fprintf(stderr, "lotus_run: %zu scenario(s), %zu jobs, seed %llu\n", batch.size(),
-                 harness.config().jobs,
-                 static_cast<unsigned long long>(harness.config().seed));
-    cli::render_results(render, batch, harness.run(batch));
-    return 0;
-}
-
-int run_single(const Options& opt) {
-    if (opt.chart && opt.format == cli::OutputFormat::json) {
-        cli::usage_error(kTool, "--chart writes ASCII to stdout and cannot be combined "
-                                "with --format json");
-    }
-    const auto spec = cli::parse_device(kTool, opt.device);
+int run_single(const cli::Flags& f, const Options& opt) {
+    const auto spec = cli::parse_device(kTool, f.device);
     const bool orin = spec.name.find("orin") != std::string::npos;
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
+    const auto kind = cli::parse_detector(kTool, f.detector);
+    const auto dataset = cli::parse_dataset(kTool, f.dataset);
     const std::size_t iterations =
         opt.iterations > 0 ? opt.iterations : (orin ? 3000 : 1000);
 
     harness::Scenario scenario(
-        runtime::static_experiment(spec, kind, dataset, iterations, opt.pretrain));
+        runtime::static_experiment(spec, kind, dataset, iterations, f.pretrain));
     scenario.name = "cli";
     scenario.title = "lotus_run single experiment";
     if (opt.constraint_ms > 0.0) {
         scenario.config.schedule =
             workload::DomainSchedule::constant(dataset, opt.constraint_ms / 1e3);
     }
-    scenario.arms.push_back(cli::make_governor_arm(kTool, opt.governor, spec));
+    scenario.arms.push_back(cli::make_governor_arm(kTool, f.governor, spec));
 
     // Keep stdout clean for --format json; the banner is status, not data.
-    std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,
+    const bool json = f.format == cli::OutputFormat::json;
+    std::fprintf(json ? stderr : stdout,
                  "lotus_run: %s + %s + %s under %s (%zu iterations, seed %llu, "
                  "L=%.0f ms)\n",
                  spec.name.c_str(), detector::to_string(kind), dataset.c_str(),
                  scenario.arms[0].name.c_str(), iterations,
-                 static_cast<unsigned long long>(opt.seed.value),
+                 static_cast<unsigned long long>(f.seed),
                  scenario.config.schedule.at(0).latency_constraint_s * 1e3);
 
-    if (opt.profile) prof::set_enabled(true);
-    harness::HarnessConfig cfg{
-        .jobs = 1, .seed = opt.seed.value, .telemetry = !opt.telemetry_dir.empty()};
-    if (opt.telemetry_ring > 0) cfg.telemetry_options.ring_capacity = opt.telemetry_ring;
-    const harness::ExperimentHarness harness(cfg);
-    const auto results = harness.run(scenario);
+    auto cfg = cli::harness_config(f);
+    cfg.jobs = 1;
+    const auto results = harness::ExperimentHarness(cfg).run(scenario);
     const auto& trace = results[0].trace;
 
-    if (opt.format == cli::OutputFormat::json) {
+    if (json) {
         std::printf("%s\n", harness::scenario_json(scenario, results).c_str());
     } else {
         const auto s = trace.summary();
@@ -269,7 +133,7 @@ int run_single(const Options& opt) {
         std::printf("%s", table.render("summary").c_str());
     }
 
-    if (opt.chart) {
+    if (f.chart) {
         util::AsciiChart temp_chart(100, 12);
         temp_chart.add_series({"T_dev", util::downsample(trace.device_temps(), 100)});
         temp_chart.add_reference_line(platform::throttle_bound_celsius(spec), "trip");
@@ -280,22 +144,13 @@ int run_single(const Options& opt) {
             scenario.config.schedule.at(0).latency_constraint_s * 1e3, "L");
         std::printf("%s\n", lat_chart.render("latency", "ms").c_str());
     }
-    if (!opt.csv_path.empty()) {
-        trace.write_csv(opt.csv_path);
+    if (!f.csv.empty()) {
+        trace.write_csv(f.csv);
         // Status line: keep stdout machine-readable under --format json.
-        std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,
-                     "trace written to %s (%zu rows)\n", opt.csv_path.c_str(),
-                     trace.size());
+        std::fprintf(json ? stderr : stdout, "trace written to %s (%zu rows)\n",
+                     f.csv.c_str(), trace.size());
     }
-    if (!opt.telemetry_dir.empty()) {
-        // Single-run mode bypasses render_results, so attach the sink by hand.
-        harness::TelemetrySink(opt.telemetry_dir).consume(scenario, results);
-    }
-    if (opt.profile) {
-        std::fprintf(stderr, "[profile] %s\n%s", scenario.name.c_str(),
-                     prof::report_text().c_str());
-        prof::reset();
-    }
+    for (const auto& sink : cli::record_sinks(f)) sink->consume(scenario, results);
     return 0;
 }
 
@@ -303,9 +158,30 @@ int run_single(const Options& opt) {
 
 int main(int argc, char** argv) {
     return cli::guarded_main(kTool, [&] {
-        const auto opt = parse(argc, argv);
-        if (opt.list_scenarios) return list_scenarios();
-        if (!opt.scenarios.empty()) return run_scenarios(opt);
-        return run_single(opt);
+        Options opt;
+        const auto f = cli::parse_flags(
+            kTool, argc, argv, 1,
+            {"--device", "--detector", "--dataset", "--governor", "--pretrain", "--seed",
+             "--jobs", "--format", "--csv", "--chart", "--profile", "--telemetry",
+             "--telemetry-ring", "--scenario", "--list-scenarios"},
+            [&](cli::ArgCursor& a, const std::string& flag) {
+                if (flag == "--iterations") {
+                    opt.iterations = static_cast<std::size_t>(a.u64());
+                    if (opt.iterations == 0) cli::usage_error(kTool, "--iterations must be > 0");
+                } else if (flag == "--constraint") {
+                    opt.constraint_ms = a.positive();
+                } else {
+                    return false;
+                }
+                return true;
+            });
+        if (f.list_scenarios) return list_scenarios();
+        if (f.scenarios.empty()) return run_single(f, opt);
+        cli::reject_inapplicable(
+            kTool, f,
+            {"--seed", "--jobs", "--format", "--csv", "--chart", "--profile", "--telemetry",
+             "--telemetry-ring", "--scenario"},
+            [](const std::string& flag) { return cli::fixed_by_registry(flag, "single-run"); });
+        return cli::run_scenarios(kTool, f, {});
     });
 }

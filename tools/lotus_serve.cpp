@@ -78,7 +78,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "cli_common.hpp"
 
@@ -88,29 +87,9 @@ namespace {
 
 const std::string kTool = "lotus_serve";
 
+/// Flags lotus_serve parses itself.
 struct Options {
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    std::string dataset = "kitti";
-    std::string governor = "lotus";
     std::string scheduler = "edf";
-    std::string arrival = "poisson";
-    std::size_t streams = 4;
-    double rate_hz = 0.25;
-    double slo_ms = 0.0; // 0 -> 2x calibrated constraint
-    std::size_t requests = 0; // 0 -> fast-mode-aware default
-    std::size_t burst = 8;
-    std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
-    cli::OutputFormat format = cli::OutputFormat::table;
-    std::string csv_dir;
-    std::string telemetry_dir;
-    std::size_t telemetry_ring = 0; // 0 -> recorder default
-    bool chart = false;
-    bool profile = false;
-    bool list_scenarios = false;
-    std::vector<std::string> scenarios;
-    std::size_t jobs = 0;
     /// Fleet knobs: valid in ad-hoc mode (build a fleet of N preset copies)
     /// and in scenario mode (override a fleet scenario's pool size/router).
     std::size_t devices = 0; // 0 = not passed
@@ -119,127 +98,7 @@ struct Options {
     /// replay_dir); empty = off.
     std::string record_trace_dir;
     std::string replay_trace_dir;
-    /// Ad-hoc-only flags the user explicitly passed, so scenario mode can
-    /// reject them instead of silently ignoring an override.
-    std::vector<std::string> adhoc_flags;
 };
-
-Options parse(int argc, char** argv) {
-    Options opt;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const bool adhoc_only =
-            flag == "--device" || flag == "--detector" || flag == "--dataset" ||
-            flag == "--governor" || flag == "--scheduler" || flag == "--arrival" ||
-            flag == "--streams" || flag == "--rate" || flag == "--slo" ||
-            flag == "--requests" || flag == "--burst" || flag == "--pretrain";
-        if (adhoc_only) opt.adhoc_flags.push_back(flag);
-        if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
-        } else if (flag == "--governor") {
-            opt.governor = need_value(i);
-        } else if (flag == "--scheduler") {
-            opt.scheduler = need_value(i);
-        } else if (flag == "--arrival") {
-            opt.arrival = need_value(i);
-        } else if (flag == "--streams") {
-            opt.streams = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--rate") {
-            opt.rate_hz = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--slo") {
-            opt.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--requests") {
-            opt.requests = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--burst") {
-            opt.burst = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
-        } else if (flag == "--format") {
-            opt.format = cli::parse_format(kTool, need_value(i));
-        } else if (flag == "--csv") {
-            opt.csv_dir = need_value(i);
-        } else if (flag == "--telemetry") {
-            opt.telemetry_dir = need_value(i);
-            if (opt.telemetry_dir.empty()) {
-                cli::usage_error(kTool, "--telemetry wants a directory");
-            }
-        } else if (flag == "--telemetry-ring") {
-            opt.telemetry_ring = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.telemetry_ring == 0) {
-                cli::usage_error(kTool, "--telemetry-ring must be >= 1");
-            }
-        } else if (flag == "--chart") {
-            opt.chart = true;
-        } else if (flag == "--profile") {
-            opt.profile = true;
-        } else if (flag == "--list-scenarios") {
-            opt.list_scenarios = true;
-        } else if (flag == "--scenario") {
-            opt.scenarios.push_back(need_value(i));
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--devices") {
-            opt.devices = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.devices == 0) cli::usage_error(kTool, "--devices must be >= 1");
-        } else if (flag == "--router") {
-            opt.router = cli::parse_router(kTool, need_value(i));
-        } else if (flag == "--record-trace") {
-            opt.record_trace_dir = need_value(i);
-            if (opt.record_trace_dir.empty()) {
-                cli::usage_error(kTool, "--record-trace wants a directory");
-            }
-        } else if (flag == "--replay-trace") {
-            opt.replay_trace_dir = need_value(i);
-            if (opt.replay_trace_dir.empty()) {
-                cli::usage_error(kTool, "--replay-trace wants a directory");
-            }
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_serve.cpp for usage\n");
-            std::exit(0);
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
-        }
-    }
-    if (opt.telemetry_ring > 0 && opt.telemetry_dir.empty()) {
-        cli::usage_error(kTool, "--telemetry-ring requires --telemetry");
-    }
-    if (!opt.record_trace_dir.empty() && !opt.replay_trace_dir.empty() &&
-        opt.record_trace_dir == opt.replay_trace_dir) {
-        cli::usage_error(kTool, "--record-trace and --replay-trace must not point at "
-                                "the same directory (capture would overwrite the "
-                                "traces being replayed)");
-    }
-    return opt;
-}
-
-cli::RenderOptions render_options(const Options& opt) {
-    cli::RenderOptions r;
-    r.format = opt.format;
-    r.chart = opt.chart;
-    r.csv_dir = opt.csv_dir;
-    r.profile = opt.profile;
-    r.telemetry_dir = opt.telemetry_dir;
-    r.telemetry_ring = opt.telemetry_ring;
-    cli::reject_chart_with_json(kTool, r);
-    return r;
-}
 
 int list_scenarios() {
     const auto& registry = harness::ScenarioRegistry::instance();
@@ -262,158 +121,75 @@ int list_scenarios() {
     return 0;
 }
 
-int run_scenarios(const Options& opt) {
-    if (!opt.adhoc_flags.empty()) {
-        cli::usage_error(kTool, opt.adhoc_flags.front() +
-                                    " only applies to ad-hoc mode; scenario definitions "
-                                    "are fixed by the registry (tune "
-                                    "--seed/--jobs/--format/--chart/--csv instead)");
-    }
-    const auto& registry = harness::ScenarioRegistry::instance();
-    // --devices/--router act as fleet overrides: modified copies live here,
-    // the batch points at either the registry entry or its override.
-    std::vector<std::unique_ptr<harness::Scenario>> overridden;
-    std::vector<const harness::Scenario*> batch;
-    const bool fleet_override = opt.devices > 0 || !opt.router.empty();
-    for (const auto& name : opt.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr, "%s: unknown scenario '%s' (try --list-scenarios)\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        if (!s->is_serving() && !s->is_fleet()) {
-            std::fprintf(stderr,
-                         "%s: scenario '%s' is a classic experiment, not a serving "
-                         "scenario (run it with lotus_run)\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        if (fleet_override && !s->is_fleet()) {
+int run_scenarios(const cli::Flags& f, const Options& opt) {
+    cli::reject_inapplicable(
+        kTool, f,
+        {"--seed", "--jobs", "--format", "--csv", "--chart", "--profile", "--telemetry",
+         "--telemetry-ring", "--scenario", "--devices", "--router",
+         "--record-trace", "--replay-trace"},
+        [](const std::string& flag) { return cli::fixed_by_registry(flag, "ad-hoc"); });
+    cli::ScenarioMode mode;
+    mode.classic_rejection = ", not a serving scenario (run it with lotus_run)";
+    mode.trace_dir = opt.record_trace_dir;
+    mode.replay_dir = opt.replay_trace_dir;
+    // --devices/--router act as fleet overrides on a copy of the entry.
+    mode.rewrite = [&opt](const harness::Scenario& s) -> std::unique_ptr<harness::Scenario> {
+        if (opt.devices == 0 && opt.router.empty()) return nullptr;
+        if (!s.is_fleet()) {
             cli::usage_error(kTool, "--devices/--router override a FLEET scenario's pool; '" +
-                                        name + "' serves a single device");
+                                        s.name + "' serves a single device");
         }
-        if (fleet_override) {
-            auto copy = std::make_unique<harness::Scenario>(*s);
-            if (opt.devices > 0) fleet::resize_pool(*copy->fleet, opt.devices);
-            if (!opt.router.empty()) copy->fleet->router = opt.router;
-            batch.push_back(copy.get());
-            overridden.push_back(std::move(copy));
-        } else {
-            batch.push_back(s);
-        }
-    }
-
-    const auto render = render_options(opt); // validate before the long run
-    cli::apply_profile_flag(render);
-    auto harness_cfg = cli::harness_config(render, opt.jobs, opt.seed.value);
-    harness_cfg.trace_dir = opt.record_trace_dir;
-    harness_cfg.replay_dir = opt.replay_trace_dir;
-    const harness::ExperimentHarness harness(harness_cfg);
-    // Status goes to stderr so stdout is byte-identical at any --jobs count.
-    std::fprintf(stderr, "%s: %zu scenario(s), %zu jobs, seed %llu\n", kTool.c_str(),
-                 batch.size(), harness.config().jobs,
-                 static_cast<unsigned long long>(harness.config().seed));
-    cli::render_results(render, batch, harness.run(batch));
-    return 0;
+        auto copy = std::make_unique<harness::Scenario>(s);
+        if (opt.devices > 0) fleet::resize_pool(*copy->fleet, opt.devices);
+        if (!opt.router.empty()) copy->fleet->router = opt.router;
+        return copy;
+    };
+    return cli::run_scenarios(kTool, f, mode);
 }
 
-int run_adhoc(const Options& opt) {
+int run_adhoc(const cli::Flags& f, const Options& opt) {
     if (opt.devices == 0 && !opt.router.empty()) {
         cli::usage_error(kTool, "--router picks the fleet routing policy and requires "
                                 "--devices N (a single device has nothing to route)");
     }
-    const auto render = render_options(opt); // validate before the long run
-    const auto spec = cli::parse_device(kTool, opt.device);
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
-
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(opt.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.rate_hz = opt.rate_hz;
-    arrival.burst = opt.burst;
-
-    const double constraint =
-        workload::latency_constraint_s(spec.name, kind, dataset);
-    const double slo_s = opt.slo_ms > 0.0 ? opt.slo_ms / 1e3 : 2.0 * constraint;
-    const std::size_t requests =
-        opt.requests > 0 ? opt.requests : (harness::fast_mode() ? 25 : 150);
-
-    harness::Scenario scenario(
-        runtime::static_experiment(spec, kind, dataset, 1, 0, opt.seed.value));
-    scenario.name = opt.devices > 0 ? "cli_fleet" : "cli_serve";
-    scenario.title = opt.devices > 0 ? "lotus_serve ad-hoc fleet experiment"
-                                     : "lotus_serve ad-hoc serving experiment";
-
-    try {
-        (void)serving::make_scheduler(opt.scheduler);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-
-    // Stagger stream phases across one mean inter-arrival so N identical
-    // streams do not fire in lockstep.
-    std::vector<serving::StreamSpec> streams;
-    for (std::size_t i = 0; i < opt.streams; ++i) {
-        serving::StreamSpec stream;
-        stream.name = "stream" + std::to_string(i);
-        stream.dataset = dataset;
-        stream.slo_s = slo_s;
-        stream.requests = requests;
-        stream.arrival = arrival;
-        stream.arrival.phase_s =
-            static_cast<double>(i) / (arrival.rate_hz * static_cast<double>(opt.streams));
-        streams.push_back(std::move(stream));
-    }
-
-    if (opt.devices > 0) {
-        fleet::FleetConfig cfg;
-        for (std::size_t d = 0; d < opt.devices; ++d) {
-            cfg.devices.push_back(
-                fleet::make_device(opt.device + std::to_string(d), spec));
-        }
-        cfg.detector = kind;
-        cfg.scheduler = opt.scheduler;
-        cfg.router = opt.router.empty() ? "round_robin" : opt.router;
-        cfg.pretrain_iterations = opt.pretrain;
-        cfg.pretrain_constraint_s = constraint;
-        cfg.streams = std::move(streams);
-        scenario.fleet = std::move(cfg);
+    const auto w = cli::adhoc_workload(kTool, f);
+    (void)cli::parse_scheduler(kTool, opt.scheduler);
+    const bool fleet = opt.devices > 0;
+    auto scenario = cli::adhoc_scenario(
+        kTool, w, f, f.governor, fleet ? "cli_fleet" : "cli_serve",
+        fleet ? "lotus_serve ad-hoc fleet experiment" : "lotus_serve ad-hoc serving experiment");
+    auto streams = cli::staggered_streams(f.streams, w.dataset, w.slo_s, w.requests, w.arrival);
+    if (fleet) {
+        scenario.fleet = cli::fleet_config(w, f, opt.devices, opt.scheduler,
+                                           opt.router.empty() ? "round_robin" : opt.router);
+        scenario.fleet->streams = std::move(streams);
     } else {
-        serving::ServingConfig cfg(spec);
-        cfg.detector = kind;
+        serving::ServingConfig cfg(w.spec);
+        cfg.detector = w.kind;
         cfg.scheduler = opt.scheduler;
-        cfg.pretrain_iterations = opt.pretrain;
-        cfg.pretrain_constraint_s = constraint;
+        cfg.pretrain_iterations = f.pretrain;
+        cfg.pretrain_constraint_s = w.constraint_s;
         cfg.streams = std::move(streams);
         scenario.serving = std::move(cfg);
     }
-    scenario.arms.push_back(cli::make_governor_arm(kTool, opt.governor, spec));
 
     std::fprintf(stderr,
                  "%s: %s + %s + %s | %zu streams x %zu req @ %.2f Hz (%s), SLO %.0f ms, "
                  "scheduler %s, governor %s, seed %llu",
-                 kTool.c_str(), spec.name.c_str(), detector::to_string(kind),
-                 dataset.c_str(), opt.streams, requests, opt.rate_hz,
-                 serving::to_string(arrival.kind), slo_s * 1e3, opt.scheduler.c_str(),
-                 scenario.arms[0].name.c_str(),
-                 static_cast<unsigned long long>(opt.seed.value));
-    if (opt.devices > 0) {
+                 kTool.c_str(), w.spec.name.c_str(), detector::to_string(w.kind),
+                 w.dataset.c_str(), f.streams, w.requests, f.rate_hz,
+                 serving::to_string(w.arrival.kind), w.slo_s * 1e3, opt.scheduler.c_str(),
+                 scenario.arms[0].name.c_str(), static_cast<unsigned long long>(f.seed));
+    if (fleet) {
         std::fprintf(stderr, " | fleet of %zu, router %s", opt.devices,
                      scenario.fleet->router.c_str());
     }
     std::fprintf(stderr, "\n");
 
-    cli::apply_profile_flag(render);
-    auto harness_cfg = cli::harness_config(render, opt.jobs, opt.seed.value);
-    harness_cfg.trace_dir = opt.record_trace_dir;
-    harness_cfg.replay_dir = opt.replay_trace_dir;
-    const harness::ExperimentHarness harness(harness_cfg);
-    cli::render_results(render, {&scenario}, harness.run(scenario));
+    auto cfg = cli::harness_config(f);
+    cfg.trace_dir = opt.record_trace_dir;
+    cfg.replay_dir = opt.replay_trace_dir;
+    cli::render_results(f, {&scenario}, harness::ExperimentHarness(cfg).run(scenario));
     return 0;
 }
 
@@ -421,9 +197,36 @@ int run_adhoc(const Options& opt) {
 
 int main(int argc, char** argv) {
     return cli::guarded_main(kTool, [&] {
-        const auto opt = parse(argc, argv);
-        if (opt.list_scenarios) return list_scenarios();
-        if (!opt.scenarios.empty()) return run_scenarios(opt);
-        return run_adhoc(opt);
+        Options opt;
+        const auto f = cli::parse_flags(
+            kTool, argc, argv, 1,
+            {"--device", "--detector", "--dataset", "--governor", "--pretrain", "--seed",
+             "--jobs", "--format", "--csv", "--chart", "--profile", "--telemetry",
+             "--telemetry-ring", "--scenario", "--list-scenarios", "--streams", "--rate",
+             "--slo", "--requests", "--burst", "--arrival"},
+            [&](cli::ArgCursor& a, const std::string& flag) {
+                if (flag == "--scheduler") {
+                    opt.scheduler = a.value();
+                } else if (flag == "--devices") {
+                    opt.devices = a.count();
+                } else if (flag == "--router") {
+                    opt.router = cli::parse_router(kTool, a.value());
+                } else if (flag == "--record-trace") {
+                    opt.record_trace_dir = a.dir();
+                } else if (flag == "--replay-trace") {
+                    opt.replay_trace_dir = a.dir();
+                } else {
+                    return false;
+                }
+                return true;
+            });
+        if (!opt.record_trace_dir.empty() && opt.record_trace_dir == opt.replay_trace_dir) {
+            cli::usage_error(kTool, "--record-trace and --replay-trace must not point at "
+                                    "the same directory (capture would overwrite the "
+                                    "traces being replayed)");
+        }
+        if (f.list_scenarios) return list_scenarios();
+        if (!f.scenarios.empty()) return run_scenarios(f, opt);
+        return run_adhoc(f, opt);
     });
 }

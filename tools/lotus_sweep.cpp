@@ -28,8 +28,9 @@
 //   --governor LIST    governor vocabulary of lotus_serve (default performance)
 //   --rate LIST        per-stream mean rates [Hz]      (default 0.25)
 //   --trace LIST       replay .ltrc traces instead of generating arrivals
-//                      (mutually exclusive with --rate; streams come from
-//                      each trace's stream table)
+//                      (streams come from each trace's stream table, so
+//                      --rate and the stream flags --arrival/--streams/
+//                      --requests/--slo/--burst are rejected with it)
 //   --device PRESET    orin | mi11                     (default orin)
 //   --detector K       frcnn | mrcnn | yolo            (default frcnn)
 //   --dataset D        kitti | visdrone                (default kitti)
@@ -43,8 +44,8 @@
 //   --jobs N           worker threads                  (default: all cores)
 //   --shard k/N        run the k-th of N contiguous cell blocks
 //
-// Unknown flags, malformed values, empty axes and out-of-range shards are
-// rejected with exit 2.
+// Unknown flags, flags the chosen arrival axis ignores, malformed values,
+// empty axes and out-of-range shards are rejected with exit 2.
 
 #include <cstdio>
 #include <filesystem>
@@ -65,6 +66,7 @@ namespace {
 
 const std::string kTool = "lotus_sweep";
 
+/// The axes and flags lotus_sweep parses itself.
 struct Options {
     std::string out_dir;
     std::vector<std::string> devices{"1", "2"};
@@ -73,17 +75,6 @@ struct Options {
     std::vector<std::string> governors{"performance"};
     std::vector<std::string> rates{"0.25"};
     std::vector<std::string> traces;
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    std::string dataset = "kitti";
-    std::string arrival = "poisson";
-    std::size_t streams = 4;
-    std::size_t requests = 0; // 0 -> fast-mode-aware default
-    double slo_ms = 0.0;      // 0 -> 2x calibrated constraint
-    std::size_t burst = 8;
-    std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
-    std::size_t jobs = 0;
     std::size_t shard_k = 1;
     std::size_t shard_n = 1;
 };
@@ -104,85 +95,63 @@ std::vector<std::string> split_list(const std::string& flag, const std::string& 
     return out;
 }
 
-Options parse(int argc, char** argv) {
-    Options opt;
-    bool rates_given = false;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--out") {
-            opt.out_dir = need_value(i);
-        } else if (flag == "--devices") {
-            opt.devices = split_list(flag, need_value(i));
-        } else if (flag == "--router") {
-            opt.routers = split_list(flag, need_value(i));
-        } else if (flag == "--scheduler") {
-            opt.schedulers = split_list(flag, need_value(i));
-        } else if (flag == "--governor") {
-            opt.governors = split_list(flag, need_value(i));
-        } else if (flag == "--rate") {
-            opt.rates = split_list(flag, need_value(i));
-            rates_given = true;
-        } else if (flag == "--trace") {
-            opt.traces = split_list(flag, need_value(i));
-        } else if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
-        } else if (flag == "--arrival") {
-            opt.arrival = need_value(i);
-        } else if (flag == "--streams") {
-            opt.streams = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--requests") {
-            opt.requests = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--slo") {
-            opt.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--burst") {
-            opt.burst = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--shard") {
-            const auto raw = need_value(i);
-            const auto slash = raw.find('/');
-            if (slash == std::string::npos) {
-                cli::usage_error(kTool, "--shard wants k/N, got '" + raw + "'");
+cli::Flags parse(int argc, char** argv, Options& opt) {
+    const auto f = cli::parse_flags(
+        kTool, argc, argv, 1,
+        {"--device", "--detector", "--dataset", "--pretrain", "--seed", "--jobs", "--streams",
+         "--slo", "--requests", "--burst", "--arrival"},
+        [&](cli::ArgCursor& a, const std::string& flag) {
+            const auto list = [&] { return split_list(flag, a.value()); };
+            if (flag == "--out") {
+                opt.out_dir = a.value();
+            } else if (flag == "--devices") {
+                opt.devices = list();
+            } else if (flag == "--router") {
+                opt.routers = list();
+            } else if (flag == "--scheduler") {
+                opt.schedulers = list();
+            } else if (flag == "--governor") {
+                opt.governors = list();
+            } else if (flag == "--rate") {
+                opt.rates = list();
+            } else if (flag == "--trace") {
+                opt.traces = list();
+            } else if (flag == "--shard") {
+                const auto raw = a.value();
+                const auto slash = raw.find('/');
+                if (slash == std::string::npos) {
+                    cli::usage_error(kTool, "--shard wants k/N, got '" + raw + "'");
+                }
+                opt.shard_k = static_cast<std::size_t>(
+                    cli::parse_u64(kTool, "--shard", raw.substr(0, slash)));
+                opt.shard_n = static_cast<std::size_t>(
+                    cli::parse_u64(kTool, "--shard", raw.substr(slash + 1)));
+                if (opt.shard_n == 0 || opt.shard_k == 0 || opt.shard_k > opt.shard_n) {
+                    cli::usage_error(kTool, "--shard wants 1 <= k <= N, got '" + raw + "'");
+                }
+            } else {
+                return false;
             }
-            opt.shard_k = static_cast<std::size_t>(
-                u64("--shard", raw.substr(0, slash)));
-            opt.shard_n = static_cast<std::size_t>(
-                u64("--shard", raw.substr(slash + 1)));
-            if (opt.shard_n == 0 || opt.shard_k == 0 || opt.shard_k > opt.shard_n) {
-                cli::usage_error(kTool, "--shard wants 1 <= k <= N, got '" + raw + "'");
-            }
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_sweep.cpp for usage\n");
-            std::exit(0);
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
-        }
-    }
+            return true;
+        });
     if (opt.out_dir.empty()) cli::usage_error(kTool, "--out DIR is required");
-    if (!opt.traces.empty() && rates_given) {
-        cli::usage_error(kTool, "--rate and --trace are alternative arrival axes; "
-                                "pass one of them");
+    if (!opt.traces.empty()) {
+        // Trace cells take their streams from each trace's stream table, so
+        // the flags that shape generated streams have nothing to act on.
+        cli::reject_inapplicable(
+            kTool, f,
+            {"--out", "--devices", "--router", "--scheduler", "--governor", "--trace",
+             "--device", "--detector", "--dataset", "--pretrain", "--seed", "--jobs",
+             "--shard"},
+            [](const std::string& flag) -> std::string {
+                if (flag == "--rate") {
+                    return "--rate and --trace are alternative arrival axes; pass one of them";
+                }
+                return flag + " only applies to the --rate axis; --trace cells replay "
+                              "each trace's own stream table";
+            });
     }
-    return opt;
+    return f;
 }
 
 /// One cartesian cell: the axis values plus the scenario built from them.
@@ -198,33 +167,11 @@ struct Cell {
     std::unique_ptr<harness::Scenario> scenario;
 };
 
-std::string json_escape(const std::string& s) { return telemetry::jstr(s); }
-
-std::vector<Cell> build_cells(const Options& opt) {
-    const auto spec = cli::parse_device(kTool, opt.device);
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(opt.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.burst = opt.burst;
-    const double constraint = workload::latency_constraint_s(spec.name, kind, dataset);
-    const double slo_s = opt.slo_ms > 0.0 ? opt.slo_ms / 1e3 : 2.0 * constraint;
-    const std::size_t requests =
-        opt.requests > 0 ? opt.requests : (harness::fast_mode() ? 25 : 150);
-
+std::vector<Cell> build_cells(const cli::Flags& f, const Options& opt) {
+    const auto w = cli::adhoc_workload(kTool, f);
     // Validate schedulers/routers once, up front, so a typo fails before
     // any cell runs.
-    for (const auto& s : opt.schedulers) {
-        try {
-            (void)serving::make_scheduler(s);
-        } catch (const std::invalid_argument& e) {
-            cli::usage_error(kTool, e.what());
-        }
-    }
+    for (const auto& s : opt.schedulers) (void)cli::parse_scheduler(kTool, s);
     for (const auto& r : opt.routers) (void)cli::parse_router(kTool, r);
 
     const bool trace_axis = !opt.traces.empty();
@@ -253,16 +200,7 @@ std::vector<Cell> build_cells(const Options& opt) {
                         cell.name = "sweep/d" + devices_token + "/" + router + "/" +
                                     scheduler + "/" + governor + "/" + cell.arrival;
 
-                        fleet::FleetConfig cfg;
-                        for (std::size_t d = 0; d < pool; ++d) {
-                            cfg.devices.push_back(
-                                fleet::make_device(opt.device + std::to_string(d), spec));
-                        }
-                        cfg.detector = kind;
-                        cfg.scheduler = scheduler;
-                        cfg.router = router;
-                        cfg.pretrain_iterations = opt.pretrain;
-                        cfg.pretrain_constraint_s = constraint;
+                        auto cfg = cli::fleet_config(w, f, pool, scheduler, router);
                         if (trace_axis) {
                             // The trace's stream table defines the streams;
                             // replay substitutes for the arrival processes.
@@ -270,33 +208,16 @@ std::vector<Cell> build_cells(const Options& opt) {
                                 trace::TraceArrivalSource(arrival_token).stream_specs();
                             cfg.replay_trace = arrival_token;
                         } else {
-                            auto cell_arrival = arrival;
-                            cell_arrival.rate_hz = cli::parse_positive_double(
-                                kTool, "--rate", arrival_token);
-                            for (std::size_t i = 0; i < opt.streams; ++i) {
-                                serving::StreamSpec stream;
-                                stream.name = "stream" + std::to_string(i);
-                                stream.dataset = dataset;
-                                stream.slo_s = slo_s;
-                                stream.requests = requests;
-                                stream.arrival = cell_arrival;
-                                stream.arrival.phase_s =
-                                    static_cast<double>(i) /
-                                    (cell_arrival.rate_hz *
-                                     static_cast<double>(opt.streams));
-                                cfg.streams.push_back(std::move(stream));
-                            }
+                            auto arrival = w.arrival;
+                            arrival.rate_hz =
+                                cli::parse_positive_double(kTool, "--rate", arrival_token);
+                            cfg.streams = cli::staggered_streams(f.streams, w.dataset,
+                                                                 w.slo_s, w.requests, arrival);
                         }
-
-                        auto scenario = std::make_unique<harness::Scenario>(
-                            runtime::static_experiment(spec, kind, dataset, 1, 0,
-                                                       opt.seed.value));
-                        scenario->name = cell.name;
-                        scenario->title = "lotus_sweep cell " + cell.name;
-                        scenario->fleet = std::move(cfg);
-                        scenario->arms.push_back(
-                            cli::make_governor_arm(kTool, governor, spec));
-                        cell.scenario = std::move(scenario);
+                        cell.scenario = std::make_unique<harness::Scenario>(
+                            cli::adhoc_scenario(kTool, w, f, governor, cell.name,
+                                                "lotus_sweep cell " + cell.name));
+                        cell.scenario->fleet = std::move(cfg);
                         cells.push_back(std::move(cell));
                     }
                 }
@@ -307,8 +228,9 @@ std::vector<Cell> build_cells(const Options& opt) {
 }
 
 int run_sweep(int argc, char** argv) {
-    const auto opt = parse(argc, argv);
-    auto cells = build_cells(opt);
+    Options opt;
+    const auto f = parse(argc, argv, opt);
+    auto cells = build_cells(f, opt);
     const std::size_t total = cells.size();
 
     // Contiguous shard [lo, hi): floor(k*C/N) boundaries cover every cell
@@ -316,11 +238,7 @@ int run_sweep(int argc, char** argv) {
     const std::size_t lo = (opt.shard_k - 1) * total / opt.shard_n;
     const std::size_t hi = opt.shard_k * total / opt.shard_n;
 
-    harness::HarnessConfig cfg;
-    cfg.jobs = opt.jobs;
-    cfg.seed = opt.seed.value;
-    cfg.summary_only = true;
-    const harness::ExperimentHarness harness(cfg);
+    const harness::ExperimentHarness harness(cli::harness_config(f));
     std::vector<const harness::Scenario*> batch;
     batch.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) batch.push_back(cells[i].scenario.get());
@@ -376,7 +294,7 @@ int run_sweep(int argc, char** argv) {
                 join(opt.traces.empty() ? opt.rates : opt.traces) + "]}";
         json << "{" << util::build_info_json_fields()
              << ",\"generator\":\"lotus_sweep\",\"cells\":" << total
-             << ",\"seed\":" << json_escape(std::to_string(opt.seed.value))
+             << ",\"seed\":" << telemetry::jstr(std::to_string(f.seed))
              << ",\"axes\":" << axes << "}\n";
     }
 
@@ -406,13 +324,13 @@ int run_sweep(int argc, char** argv) {
                   std::to_string(t.migrations()),
                   util::format_double(t.load_skew(), 4)});
 
-        json << "{\"cell\":" << cell.index << ",\"name\":" << json_escape(cell.name)
+        json << "{\"cell\":" << cell.index << ",\"name\":" << telemetry::jstr(cell.name)
              << ",\"devices\":" << cell.devices
-             << ",\"router\":" << json_escape(cell.router)
-             << ",\"scheduler\":" << json_escape(cell.scheduler)
-             << ",\"governor\":" << json_escape(cell.governor)
-             << ",\"arrival\":" << json_escape(cell.arrival)
-             << ",\"episode_seed\":" << json_escape(seed_str) << ",\"summary\":{"
+             << ",\"router\":" << telemetry::jstr(cell.router)
+             << ",\"scheduler\":" << telemetry::jstr(cell.scheduler)
+             << ",\"governor\":" << telemetry::jstr(cell.governor)
+             << ",\"arrival\":" << telemetry::jstr(cell.arrival)
+             << ",\"episode_seed\":" << telemetry::jstr(seed_str) << ",\"summary\":{"
              << "\"requests\":" << agg.requests << ",\"served\":" << agg.served
              << ",\"shed\":" << agg.shed << ",\"missed\":" << agg.missed
              << ",\"miss_rate\":" << telemetry::jnum(agg.miss_rate)

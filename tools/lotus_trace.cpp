@@ -31,8 +31,9 @@
 //       streams of N requests each would generate, straight to disk in
 //       O(K) memory -- million-request traces in seconds.
 //
-// --seed applies only where a timeline is generated (record, synth); the
-// file-transforming verbs reject it instead of silently ignoring it.
+// Each verb accepts only the flags it reads: --seed applies only where a
+// timeline is generated (record, synth), --limit only to cat, and so on; a
+// flag the verb would ignore exits 2 instead.
 // Unknown flags/verbs and malformed values exit 2; I/O and format errors
 // exit 1 with a message naming the file and the defect.
 
@@ -49,85 +50,14 @@ namespace {
 
 const std::string kTool = "lotus_trace";
 
+/// Positionals and the flags lotus_trace parses itself.
 struct Args {
-    std::string verb;
     std::vector<std::string> positional;
-    cli::SeedFlag seed;
-    std::size_t jobs = 0;
     std::string out_dir;
-    std::vector<std::string> scenarios;
     std::string ids_range;
     std::string time_range;
     std::uint64_t limit = 0; // 0 = unlimited
-    std::size_t streams = 4;
-    std::uint64_t requests = 0;
-    std::string arrival = "poisson";
-    double rate_hz = 0.25;
-    std::size_t burst = 8;
-    double slo_ms = 500.0;
-    std::string dataset = "kitti";
 };
-
-Args parse(int argc, char** argv) {
-    Args a;
-    if (argc < 2) cli::usage_error(kTool, "missing verb (record|info|cat|slice|merge|synth)");
-    a.verb = argv[1];
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), a.seed);
-        } else if (flag == "--jobs") {
-            a.jobs = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--out") {
-            a.out_dir = need_value(i);
-        } else if (flag == "--scenario") {
-            a.scenarios.push_back(need_value(i));
-        } else if (flag == "--ids") {
-            a.ids_range = need_value(i);
-        } else if (flag == "--time") {
-            a.time_range = need_value(i);
-        } else if (flag == "--limit") {
-            a.limit = cli::parse_u64(kTool, flag, need_value(i));
-        } else if (flag == "--streams") {
-            a.streams = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--requests") {
-            a.requests = cli::parse_u64(kTool, flag, need_value(i));
-            if (a.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--arrival") {
-            a.arrival = need_value(i);
-        } else if (flag == "--rate") {
-            a.rate_hz = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--burst") {
-            a.burst = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
-        } else if (flag == "--slo") {
-            a.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--dataset") {
-            a.dataset = cli::parse_dataset(kTool, need_value(i));
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_trace.cpp for usage\n");
-            std::exit(0);
-        } else if (!flag.empty() && flag[0] == '-') {
-            cli::usage_error(kTool, "unknown flag " + flag);
-        } else {
-            a.positional.push_back(flag);
-        }
-    }
-    // Seed-conflict rule: verbs that only transform existing files have no
-    // randomness for a seed to steer.
-    if (a.seed.set && a.verb != "record" && a.verb != "synth") {
-        cli::usage_error(kTool, "--seed only applies to the generating verbs "
-                                "(record, synth); '" + a.verb +
-                                "' is fully determined by its input trace");
-    }
-    return a;
-}
 
 /// Parse "A:B" into two numbers via the supplied element parser.
 template <typename T, typename Parse>
@@ -139,48 +69,28 @@ std::pair<T, T> parse_range(const std::string& flag, const std::string& raw, Par
     return {parse(raw.substr(0, colon)), parse(raw.substr(colon + 1))};
 }
 
-int cmd_record(const Args& a) {
-    if (a.scenarios.empty()) cli::usage_error(kTool, "record wants --scenario NAME");
+int cmd_record(const cli::Flags& f, const Args& a) {
+    if (f.scenarios.empty()) cli::usage_error(kTool, "record wants --scenario NAME");
     if (a.out_dir.empty()) cli::usage_error(kTool, "record wants --out DIR");
-    const auto& registry = harness::ScenarioRegistry::instance();
-    std::vector<const harness::Scenario*> batch;
-    for (const auto& name : a.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr, "%s: unknown scenario '%s'\n", kTool.c_str(),
-                         name.c_str());
-            return 2;
+    cli::ScenarioMode mode;
+    mode.classic_rejection = " and has no request timeline to record";
+    mode.unknown_hint = "";
+    mode.trace_dir = a.out_dir;
+    mode.report = [&a](const std::vector<const harness::Scenario*>& batch) {
+        for (const auto* s : batch) {
+            for (std::size_t arm = 0; arm < s->arms.size(); ++arm) {
+                const auto path =
+                    harness::episode_trace_path(a.out_dir, s->name, arm, s->arms[arm].name);
+                const trace::Reader reader(path);
+                std::printf("%s: %llu records\n", path.c_str(),
+                            static_cast<unsigned long long>(reader.info().record_count));
+            }
         }
-        if (!s->is_serving() && !s->is_fleet()) {
-            std::fprintf(stderr,
-                         "%s: scenario '%s' is a classic experiment and has no request "
-                         "timeline to record\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        batch.push_back(s);
-    }
-
-    harness::HarnessConfig cfg;
-    cfg.jobs = a.jobs;
-    cfg.seed = a.seed.value;
-    cfg.summary_only = true;
-    cfg.trace_dir = a.out_dir;
-    const harness::ExperimentHarness harness(cfg);
-    (void)harness.run(batch);
-    for (const auto* s : batch) {
-        for (std::size_t arm = 0; arm < s->arms.size(); ++arm) {
-            const auto path =
-                harness::episode_trace_path(a.out_dir, s->name, arm, s->arms[arm].name);
-            const trace::Reader reader(path);
-            std::printf("%s: %llu records\n", path.c_str(),
-                        static_cast<unsigned long long>(reader.info().record_count));
-        }
-    }
-    return 0;
+    };
+    return cli::run_scenarios(kTool, f, mode);
 }
 
-int cmd_info(const Args& a) {
+int cmd_info(const cli::Flags&, const Args& a) {
     if (a.positional.size() != 1) cli::usage_error(kTool, "info wants exactly one FILE");
     trace::Reader reader(a.positional[0]);
     const auto& info = reader.info();
@@ -209,7 +119,7 @@ int cmd_info(const Args& a) {
     return 0;
 }
 
-int cmd_cat(const Args& a) {
+int cmd_cat(const cli::Flags&, const Args& a) {
     if (a.positional.size() != 1) cli::usage_error(kTool, "cat wants exactly one FILE");
     trace::Reader reader(a.positional[0]);
     std::printf(
@@ -227,7 +137,7 @@ int cmd_cat(const Args& a) {
     return 0;
 }
 
-int cmd_slice(const Args& a) {
+int cmd_slice(const cli::Flags&, const Args& a) {
     if (a.positional.size() != 2) cli::usage_error(kTool, "slice wants IN OUT");
     if (a.ids_range.empty() == a.time_range.empty()) {
         cli::usage_error(kTool, "slice wants exactly one of --ids A:B / --time A:B");
@@ -254,7 +164,7 @@ int cmd_slice(const Args& a) {
     return 0;
 }
 
-int cmd_merge(const Args& a) {
+int cmd_merge(const cli::Flags&, const Args& a) {
     if (a.positional.size() < 3) cli::usage_error(kTool, "merge wants OUT IN1 IN2 [IN3 ...]");
     const std::vector<std::string> inputs(a.positional.begin() + 1, a.positional.end());
     trace::merge_traces(inputs, a.positional[0]);
@@ -264,56 +174,88 @@ int cmd_merge(const Args& a) {
     return 0;
 }
 
-int cmd_synth(const Args& a) {
+int cmd_synth(const cli::Flags& f, const Args& a) {
     if (a.positional.size() != 1) cli::usage_error(kTool, "synth wants exactly one OUT file");
-    if (a.requests == 0) cli::usage_error(kTool, "synth wants --requests N");
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(a.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.rate_hz = a.rate_hz;
-    arrival.burst = a.burst;
-
-    // Same stream construction as lotus_serve's ad-hoc mode: N identical
-    // streams, phases staggered across one mean inter-arrival.
-    std::vector<serving::StreamSpec> streams;
-    for (std::size_t i = 0; i < a.streams; ++i) {
-        serving::StreamSpec stream;
-        stream.name = "stream" + std::to_string(i);
-        stream.dataset = a.dataset == "kitti" ? "KITTI" : a.dataset;
-        stream.slo_s = a.slo_ms / 1e3;
-        stream.requests = static_cast<std::size_t>(a.requests);
-        stream.arrival = arrival;
-        stream.arrival.phase_s =
-            static_cast<double>(i) / (arrival.rate_hz * static_cast<double>(a.streams));
-        streams.push_back(std::move(stream));
-    }
-    trace::synth_trace(a.positional[0], streams, a.seed.value);
+    if (f.requests == 0) cli::usage_error(kTool, "synth wants --requests N");
+    const auto dataset = cli::parse_dataset(kTool, f.dataset);
+    const auto arrival = cli::parse_arrival(kTool, f);
+    const double slo_s = (f.slo_ms > 0.0 ? f.slo_ms : 500.0) / 1e3;
+    const auto streams = cli::staggered_streams(f.streams, dataset, slo_s, f.requests, arrival);
+    trace::synth_trace(a.positional[0], streams, f.seed);
     const trace::Reader out(a.positional[0]);
     std::printf("%s: %llu records (%zu streams x %llu requests)\n",
                 a.positional[0].c_str(),
-                static_cast<unsigned long long>(out.info().record_count), a.streams,
-                static_cast<unsigned long long>(a.requests));
+                static_cast<unsigned long long>(out.info().record_count), f.streams,
+                static_cast<unsigned long long>(f.requests));
     return 0;
 }
+
+/// Each verb and the flags it reads; every other flag is rejected for it.
+struct Verb {
+    std::string_view name;
+    int (*run)(const cli::Flags&, const Args&);
+    cli::FlagList flags;
+};
+
+const std::vector<Verb> kVerbs = {
+    {"record", cmd_record, {"--scenario", "--out", "--seed", "--jobs"}},
+    {"info", cmd_info, {}},
+    {"cat", cmd_cat, {"--limit"}},
+    {"slice", cmd_slice, {"--ids", "--time"}},
+    {"merge", cmd_merge, {}},
+    {"synth", cmd_synth,
+     {"--requests", "--streams", "--arrival", "--rate", "--burst", "--slo", "--dataset",
+      "--seed"}},
+};
 
 } // namespace
 
 int main(int argc, char** argv) {
-    const auto args = parse(argc, argv);
-    try {
-        if (args.verb == "record") return cmd_record(args);
-        if (args.verb == "info") return cmd_info(args);
-        if (args.verb == "cat") return cmd_cat(args);
-        if (args.verb == "slice") return cmd_slice(args);
-        if (args.verb == "merge") return cmd_merge(args);
-        if (args.verb == "synth") return cmd_synth(args);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
-        return 1;
-    }
-    cli::usage_error(kTool, "unknown verb '" + args.verb +
-                                "' (record|info|cat|slice|merge|synth)");
+    return cli::guarded_main(kTool, [&] {
+        if (argc < 2) {
+            cli::usage_error(kTool, "missing verb (record|info|cat|slice|merge|synth)");
+        }
+        const std::string verb = argv[1];
+        Args a;
+        const auto f = cli::parse_flags(
+            kTool, argc, argv, 2,
+            {"--seed", "--jobs", "--scenario", "--streams", "--requests", "--arrival",
+             "--rate", "--burst", "--slo", "--dataset"},
+            [&](cli::ArgCursor& args, const std::string& flag) {
+                if (flag == "--out") {
+                    a.out_dir = args.value();
+                } else if (flag == "--ids") {
+                    a.ids_range = args.value();
+                } else if (flag == "--time") {
+                    a.time_range = args.value();
+                } else if (flag == "--limit") {
+                    a.limit = args.u64();
+                } else if (flag.empty() || flag[0] != '-') {
+                    a.positional.push_back(flag);
+                } else {
+                    return false;
+                }
+                return true;
+            });
+        const auto it = std::find_if(kVerbs.begin(), kVerbs.end(),
+                                     [&](const Verb& v) { return v.name == verb; });
+        if (it == kVerbs.end()) {
+            cli::usage_error(kTool, "unknown verb '" + verb +
+                                        "' (record|info|cat|slice|merge|synth)");
+        }
+        cli::reject_inapplicable(kTool, f, it->flags, [&](const std::string& flag) {
+            if (flag == "--seed") {
+                return "--seed only applies to the generating verbs (record, synth); '" +
+                       verb + "' is fully determined by its input trace";
+            }
+            std::string readers;
+            for (const auto& v : kVerbs) {
+                if (cli::listed(v.flags, flag)) {
+                    readers += (readers.empty() ? "" : ", ") + std::string(v.name);
+                }
+            }
+            return flag + " only applies to " + readers + "; '" + verb + "' never reads it";
+        });
+        return it->run(f, a);
+    });
 }

@@ -126,6 +126,11 @@ std::vector<serving::Request> TraceArrivalSource::requests(
     while (reader.next(rec)) {
         // The engines' event loops assume a finite, non-negative,
         // arrival-ordered timeline; a NaN arrival would never come due.
+        // The other fields feed deadlines and the latency model, which
+        // assume what generated timelines guarantee: a positive SLO (the
+        // rule validate_streams applies), finite positive frame factors and
+        // a non-negative proposal count.
+        const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
         const char* defect = nullptr;
         if (!std::isfinite(rec.arrival_s)) {
             defect = "arrival_s is not finite";
@@ -133,6 +138,16 @@ std::vector<serving::Request> TraceArrivalSource::requests(
             defect = "arrival_s is negative";
         } else if (!out.empty() && rec.arrival_s < out.back().arrival_s) {
             defect = "arrival_s precedes the previous record's";
+        } else if (!(rec.slo_s > 0.0)) {
+            defect = "slo_s is not positive";
+        } else if (!finite_positive(rec.resolution_scale)) {
+            defect = "resolution_scale is not finite and positive";
+        } else if (!finite_positive(rec.complexity)) {
+            defect = "complexity is not finite and positive";
+        } else if (!finite_positive(rec.jitter)) {
+            defect = "jitter is not finite and positive";
+        } else if (rec.proposals < 0) {
+            defect = "proposals is negative";
         }
         if (defect != nullptr) {
             throw std::runtime_error("trace '" + path_ + "': record " +

@@ -362,26 +362,38 @@ TEST(TraceFormat, LoadRequestsRejectsBadArrivals) {
     const TempDir dir("badarrivals");
     const auto streams = serving_streams(8);
     const auto timeline = serving::build_request_timeline(streams, 9);
-    const auto rejects = [&](const std::string& name, auto corrupt) {
+    // Each corruption must be rejected with a message naming the field.
+    const auto rejects = [&](const std::string& name, const std::string& field,
+                             auto corrupt) {
         auto requests = timeline;
         corrupt(requests);
         const auto path = dir.file(name + ".ltrc");
         write_trace(path, streams, requests);
         try {
             (void)load_requests(path, streams);
-            ADD_FAILURE() << name << " arrival accepted";
+            ADD_FAILURE() << name << " record accepted";
         } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("arrival_s"), std::string::npos)
-                << e.what();
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << name << ": " << e.what();
         }
     };
     using Timeline = std::vector<serving::Request>;
-    rejects("nan", [](Timeline& t) { t[3].arrival_s = std::nan(""); });
-    rejects("inf", [](Timeline& t) {
+    const double nan = std::nan("");
+    rejects("nan", "arrival_s", [&](Timeline& t) { t[3].arrival_s = nan; });
+    rejects("inf", "arrival_s", [](Timeline& t) {
         t.back().arrival_s = std::numeric_limits<double>::infinity();
     });
-    rejects("negative", [](Timeline& t) { t.front().arrival_s = -1.0; });
-    rejects("decreasing", [](Timeline& t) { std::swap(t[2].arrival_s, t[6].arrival_s); });
+    rejects("negative", "arrival_s", [](Timeline& t) { t.front().arrival_s = -1.0; });
+    rejects("decreasing", "arrival_s",
+            [](Timeline& t) { std::swap(t[2].arrival_s, t[6].arrival_s); });
+    rejects("nan_slo", "slo_s", [&](Timeline& t) { t[4].slo_s = nan; });
+    rejects("nan_resolution", "resolution_scale",
+            [&](Timeline& t) { t[5].frame.resolution_scale = nan; });
+    rejects("nan_complexity", "complexity", [&](Timeline& t) { t[1].frame.complexity = nan; });
+    rejects("negative_complexity", "complexity",
+            [](Timeline& t) { t[1].frame.complexity = -1.0; });
+    rejects("nan_jitter", "jitter", [&](Timeline& t) { t[7].frame.jitter = nan; });
+    rejects("negative_proposals", "proposals", [](Timeline& t) { t[2].frame.proposals = -5; });
 }
 
 TEST(TraceFormat, ServingReplayOfANanArrivalFailsInsteadOfHanging) {

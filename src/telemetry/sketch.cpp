@@ -5,20 +5,13 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/csv.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace lotus::telemetry {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Same number contract as telemetry::jnum (6 significant digits,
-/// non-finite values become null) without pulling in the recorder.
-std::string jnum_local(double v) {
-    if (!std::isfinite(v)) return "null";
-    return util::format_double(v, 6);
-}
 
 } // namespace
 
@@ -101,14 +94,14 @@ double HistSketch::quantile(double q) const {
 }
 
 std::string HistSketch::json() const {
-    std::string out = "{\"alpha\":" + jnum_local(alpha_);
+    std::string out = "{\"alpha\":" + jnum(alpha_);
     out += ",\"count\":" + std::to_string(total_);
     out += ",\"low\":" + std::to_string(low_count_);
-    out += ",\"min\":" + jnum_local(min());
-    out += ",\"max\":" + jnum_local(max());
-    out += ",\"p50\":" + jnum_local(quantile(0.50));
-    out += ",\"p95\":" + jnum_local(quantile(0.95));
-    out += ",\"p99\":" + jnum_local(quantile(0.99));
+    out += ",\"min\":" + jnum(min());
+    out += ",\"max\":" + jnum(max());
+    out += ",\"p50\":" + jnum(quantile(0.50));
+    out += ",\"p95\":" + jnum(quantile(0.95));
+    out += ",\"p99\":" + jnum(quantile(0.99));
     out += ",\"buckets\":[";
     bool first = true;
     for (const auto& [index, count] : buckets_) {

@@ -326,7 +326,8 @@ inline harness::HarnessConfig harness_config(const Flags& f) {
 
 /// The sinks every run mode attaches after its own report: the telemetry
 /// directory and the profiler report.
-inline std::vector<std::unique_ptr<harness::ResultSink>> record_sinks(const Flags& f) {
+inline std::vector<std::unique_ptr<harness::ResultSink>> telemetry_and_profile_sinks(
+    const Flags& f) {
     std::vector<std::unique_ptr<harness::ResultSink>> sinks;
     if (!f.telemetry_dir.empty()) {
         sinks.push_back(std::make_unique<harness::TelemetrySink>(f.telemetry_dir));
@@ -337,7 +338,7 @@ inline std::vector<std::unique_ptr<harness::ResultSink>> record_sinks(const Flag
 
 /// Slice a harness batch result back per scenario and feed each slice
 /// through the sinks the flags select: chart, table or JSON, CSV
-/// directory, then the record sinks.
+/// directory, then the telemetry and profile sinks.
 inline void render_results(const Flags& f, const std::vector<const harness::Scenario*>& batch,
                            std::vector<harness::EpisodeResult> results) {
     std::vector<std::unique_ptr<harness::ResultSink>> sinks;
@@ -348,7 +349,7 @@ inline void render_results(const Flags& f, const std::vector<const harness::Scen
         sinks.push_back(std::make_unique<harness::SummaryTableSink>());
     }
     if (!f.csv.empty()) sinks.push_back(std::make_unique<harness::CsvSink>(f.csv));
-    for (auto& sink : record_sinks(f)) sinks.push_back(std::move(sink));
+    for (auto& sink : telemetry_and_profile_sinks(f)) sinks.push_back(std::move(sink));
 
     std::size_t cursor = 0;
     for (const auto* s : batch) {

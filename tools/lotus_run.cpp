@@ -150,7 +150,9 @@ int run_single(const cli::Flags& f, const Options& opt) {
         std::fprintf(json ? stderr : stdout, "trace written to %s (%zu rows)\n",
                      f.csv.c_str(), trace.size());
     }
-    for (const auto& sink : cli::record_sinks(f)) sink->consume(scenario, results);
+    for (const auto& sink : cli::telemetry_and_profile_sinks(f)) {
+        sink->consume(scenario, results);
+    }
     return 0;
 }
 

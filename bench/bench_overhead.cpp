@@ -16,57 +16,38 @@
 // The wall-clock numbers are inherently non-deterministic; everything
 // driven through the harness is seed-reproducible like every other bench.
 
-// PR 3 adds a second kind of overhead analysis: the cost of the simulator
-// itself. The single time-advance authority steps the RC thermal network
-// with a closed-form exponential solution between events instead of fixed
-// 20 ms slicing with 5 ms Euler sub-steps; the stepper comparison below
-// runs the serve_saturation scenario under both integrators and FAILS the
-// bench (non-zero exit, it runs as a CTest smoke) unless the closed form
-// spends >= 3x fewer integration steps while the serving-level latency and
-// temperature metrics stay within 1% of the slice-based reference.
+// The bench also gates the simulator's own cost. Each check below fails the
+// bench (non-zero exit; it runs as a CTest smoke); the perf-trajectory cells
+// are written to BENCH_overhead.json, which CI compares with
+// bench/BENCH_overhead.baseline.json through tools/check_bench_regression.py.
+// "Same JSON" means byte-identical scenario JSON.
 //
-// PR 6 extends the same pattern to the host-side hot path and records the
-// result as a machine-readable perf trajectory, BENCH_overhead.json
-// (stamped with util::kSchemaVersion + build id), written to the working
-// directory:
-//
-//  * DQN train step: scalar per-sample reference vs width-grouped blocked
-//    matrix math (rl::DqnMath), gated on bit-identical losses;
-//  * serve_saturation end to end under both math modes: wall-clock,
-//    host requests/sec, thermal steps, scalar-matvec counts (>= 2x fewer
-//    under batched math) and allocation counts, gated on byte-identical
-//    scenario JSON;
-//  * the summary-only ledger fast path vs full row capture (same JSON,
-//    fewer allocations);
-//  * the internal profiler's timers-enabled overhead on
-//    serve_fleet_saturation (< 2% of wall-clock);
-//  * the sim-time telemetry recorder's overhead on serve_saturation
-//    (PR 7), gated hard on byte-identical scenario JSON with recording on
-//    vs off, softly on wall-clock;
-//  * the streaming rollup aggregation's incremental overhead on top of
-//    recording (PR 9), gated hard on byte-identical scenario JSON with
-//    rollups on vs off, softly on wall-clock.
-//
-// CI diffs the hardware-normalized ratios in the JSON against the
-// committed bench/BENCH_overhead.baseline.json via
-// tools/check_bench_regression.py.
+//  * thermal stepper: >= 3x fewer steps than 20 ms Euler slicing, metrics within 1%;
+//  * train_step: scalar and batched DQN math give bit-identical losses;
+//  * serve_saturation: same JSON in both math modes, >= 2x fewer matvecs, faster (full mode);
+//  * summary_only_ledgers: same JSON as full row capture, fewer allocated bytes;
+//  * profiler_overhead: timers cost < 2% (or < 50 ms) of serve_fleet_saturation;
+//  * telemetry_overhead: same JSON with recording on, events > 0, cost < 50% (or < 100 ms);
+//  * trace_replay: replay gives the recorded JSON, requests > 0, cost < 50% (or < 100 ms).
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
-#include <sstream>
 
 #include "common.hpp"
 #include "harness/sinks.hpp"
 #include "prof/profiler.hpp"
+#include "telemetry/recorder.hpp"
 #include "util/build_info.hpp"
 
 using namespace lotus;
@@ -141,6 +122,22 @@ rl::MlpConfig paper_qnet_config() {
     return cfg;
 }
 
+/// The 256-transition replay buffer the train-step benchmarks sample from.
+rl::ReplayBuffer paper_replay_buffer(util::Rng& rng) {
+    rl::ReplayBuffer buffer(256);
+    for (int i = 0; i < 256; ++i) {
+        rl::Transition t;
+        t.state = std::vector<double>(core::kStateDim, rng.uniform());
+        t.action = static_cast<int>(rng.uniform_int(0, 47));
+        t.reward = rng.uniform(-1, 2);
+        t.next_state = std::vector<double>(core::kStateDim, rng.uniform());
+        t.width_state = (i % 2 == 0) ? 0.75 : 1.0;
+        t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
+        buffer.push(std::move(t));
+    }
+    return buffer;
+}
+
 void microbench() {
     const int calls = harness::fast_mode() ? 200 : 2000;
     util::TextTable table({"operation", "mean (us/call)"});
@@ -159,18 +156,8 @@ void microbench() {
         rl::DqnConfig dqn_cfg;
         dqn_cfg.batch_size = 32;
         rl::DqnCore dqn(paper_qnet_config(), dqn_cfg);
-        rl::ReplayBuffer buffer(256);
         util::Rng rng(3);
-        for (int i = 0; i < 256; ++i) {
-            rl::Transition t;
-            t.state = std::vector<double>(core::kStateDim, rng.uniform());
-            t.action = static_cast<int>(rng.uniform_int(0, 47));
-            t.reward = rng.uniform(-1, 2);
-            t.next_state = std::vector<double>(core::kStateDim, rng.uniform());
-            t.width_state = (i % 2 == 0) ? 0.75 : 1.0;
-            t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
-            buffer.push(std::move(t));
-        }
+        const auto buffer = paper_replay_buffer(rng);
         table.add_row({"DQN train step, batch 32",
                        util::format_double(mean_us_per_call(
                            [&] { g_sink = dqn.train_step(buffer, rng, 1); },
@@ -310,72 +297,133 @@ bool stepper_comparison() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 6: perf trajectory -> BENCH_overhead.json.
+// Perf trajectory: a table of cells, each returning its printed rows, the
+// FAIL messages of the gates it missed and its object under "cells" in
+// BENCH_overhead.json.
 
-/// %.6g rendering for the JSON document (full precision is timer noise).
-std::string json_num(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+/// printf into a std::string (cell text and FAIL messages).
+[[gnu::format(printf, 1, 2)]] std::string strf(const char* fmt, ...) {
+    char buf[512];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_end(ap);
     return buf;
 }
 
-/// Harness for the perf cells: same LOTUS_BENCH_JOBS override as the shared
-/// bench harness, plus the summary-only knob the shared one cannot toggle.
-harness::HarnessConfig perf_harness_config(bool summary_only) {
-    harness::HarnessConfig cfg;
-    if (const char* jobs = std::getenv("LOTUS_BENCH_JOBS")) {
-        const auto v = std::strtoull(jobs, nullptr, 10);
-        if (v > 0) cfg.jobs = static_cast<std::size_t>(v);
+/// A JSON object under construction, fields in insertion order. Numbers
+/// go through jnum (non-finite values become null), strings through jstr;
+/// integer counters print exactly.
+class JsonObject {
+public:
+    JsonObject& num(const std::string& k, double v) { return add(k, telemetry::jnum(v)); }
+    JsonObject& count(const std::string& k, std::uint64_t v) { return add(k, std::to_string(v)); }
+    JsonObject& flag(const std::string& k, bool v) { return add(k, v ? "true" : "false"); }
+    JsonObject& str(const std::string& k, const std::string& v) {
+        return add(k, telemetry::jstr(v));
     }
-    cfg.summary_only = summary_only;
-    return cfg;
+    JsonObject& obj(const std::string& k, const JsonObject& v) {
+        nested_ = true;
+        return add(k, v.render());
+    }
+
+    /// Objects of scalars render on one line, others one field per line.
+    [[nodiscard]] std::string render() const {
+        std::string o = "{";
+        for (std::size_t i = 0; i < fields_.size(); ++i) {
+            o += i == 0 ? "" : nested_ ? "," : ", ";
+            o += (nested_ ? "\n  " : "") + telemetry::jstr(fields_[i].first) + ": ";
+            for (const char c : fields_[i].second) o += c == '\n' ? "\n  " : std::string(1, c);
+        }
+        return o + (nested_ ? "\n}" : "}");
+    }
+
+private:
+    JsonObject& add(const std::string& k, std::string v) {
+        fields_.emplace_back(k, std::move(v));
+        return *this;
+    }
+
+    std::vector<std::pair<std::string, std::string>> fields_;
+    bool nested_ = false;
+};
+
+struct CellResult {
+    std::string text;
+    std::vector<std::string> failures;
+    JsonObject json;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-struct TrainCell {
+struct TrainRun {
     double us_per_step = 0.0;
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
     std::vector<double> losses;
+
+    [[nodiscard]] JsonObject json() const {
+        return JsonObject()
+            .num("us_per_step", us_per_step)
+            .count("matvec_calls", matvec_calls)
+            .count("allocs", allocs)
+            .count("alloc_bytes", alloc_bytes);
+    }
 };
 
-/// Time `steps` DQN updates under one DqnMath mode. Both cells fill the
+/// Time `steps` DQN updates under one DqnMath mode. Both runs fill the
 /// replay buffer and sample batches from identically seeded RNGs, so the
 /// loss sequences must match bit for bit (the batched-math contract).
-TrainCell run_train_cell(rl::DqnMath math, int steps) {
+TrainRun run_train(rl::DqnMath math, int steps) {
     rl::DqnConfig dqn_cfg;
     dqn_cfg.batch_size = 32;
     dqn_cfg.math = math;
     rl::DqnCore dqn(paper_qnet_config(), dqn_cfg);
-    rl::ReplayBuffer buffer(256);
     util::Rng fill(3);
-    for (int i = 0; i < 256; ++i) {
-        rl::Transition t;
-        t.state = std::vector<double>(core::kStateDim, fill.uniform());
-        t.action = static_cast<int>(fill.uniform_int(0, 47));
-        t.reward = fill.uniform(-1, 2);
-        t.next_state = std::vector<double>(core::kStateDim, fill.uniform());
-        t.width_state = (i % 2 == 0) ? 0.75 : 1.0;
-        t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
-        buffer.push(std::move(t));
-    }
-    util::Rng rng(11); // batch sampling; same seed per cell -> same batches
-    TrainCell cell;
-    cell.losses.reserve(static_cast<std::size_t>(steps));
+    const auto buffer = paper_replay_buffer(fill);
+    util::Rng rng(11); // batch sampling; same seed per run -> same batches
+    TrainRun run;
+    run.losses.reserve(static_cast<std::size_t>(steps));
     prof::reset();
     const std::uint64_t a0 = alloc_count();
     const std::uint64_t b0 = alloc_bytes();
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) cell.losses.push_back(dqn.train_step(buffer, rng, 1));
-    const auto t1 = std::chrono::steady_clock::now();
-    cell.us_per_step = std::chrono::duration<double, std::micro>(t1 - t0).count() / steps;
-    cell.allocs = alloc_count() - a0;
-    cell.alloc_bytes = alloc_bytes() - b0;
-    cell.matvec_calls = prof::counter_total("rl.matvec_calls");
-    return cell;
+    for (int i = 0; i < steps; ++i) run.losses.push_back(dqn.train_step(buffer, rng, 1));
+    run.us_per_step = seconds_since(t0) * 1e6 / steps;
+    run.allocs = alloc_count() - a0;
+    run.alloc_bytes = alloc_bytes() - b0;
+    run.matvec_calls = prof::counter_total("rl.matvec_calls");
+    return run;
 }
 
-struct ServeCell {
+CellResult train_step_cell(int steps) {
+    const auto scalar = run_train(rl::DqnMath::scalar, steps);
+    const auto batched = run_train(rl::DqnMath::batched, steps);
+    const bool identical = scalar.losses == batched.losses;
+    const double speedup = scalar.us_per_step / batched.us_per_step;
+
+    CellResult c;
+    if (!identical) c.failures.emplace_back("scalar and batched train losses diverge");
+    util::TextTable table({"train step (batch 32)", "us/step", "matvec calls", "allocs"});
+    for (const auto& [name, r] : {std::pair{"scalar", &scalar}, std::pair{"batched", &batched}}) {
+        table.add_row({name, util::format_double(r->us_per_step, 2),
+                       std::to_string(r->matvec_calls), std::to_string(r->allocs)});
+    }
+    table.add_row({"speedup", util::format_double(speedup, 2) + "x", "-",
+                   identical ? "losses bit-identical" : "LOSSES DIVERGE"});
+    c.text = table.render("DQN math: scalar reference vs blocked batched (" +
+                          std::to_string(steps) + " steps)");
+    c.json.obj("scalar", scalar.json())
+        .obj("batched", batched.json())
+        .num("speedup", speedup)
+        .flag("loss_bit_identical", identical);
+    return c;
+}
+
+struct ServeRun {
     double wall_s = 0.0;
     double requests_per_sec = 0.0;
     std::uint64_t requests = 0;
@@ -383,446 +431,336 @@ struct ServeCell {
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
-    std::string json;
+    std::string json_text; ///< scenario JSON
+
+    [[nodiscard]] JsonObject json() const {
+        return JsonObject()
+            .num("wall_s", wall_s)
+            .count("requests", requests)
+            .num("requests_per_sec", requests_per_sec)
+            .count("thermal_steps", thermal_steps)
+            .count("matvec_calls", matvec_calls)
+            .count("allocs", allocs)
+            .count("alloc_bytes", alloc_bytes);
+    }
 };
 
 /// Run one full registry scenario on a fresh harness. `repeats > 1` re-runs
 /// for a min-of-N wall-clock (deterministic output, so only the first run's
-/// JSON/counters are kept). A forced DqnMath mode applies to every agent the
-/// episodes construct and is always restored to per-config behaviour.
-ServeCell run_serve_cell(const bench::Scenario& sc, std::optional<rl::DqnMath> math,
-                         bool summary_only, int repeats) {
+/// JSON/counters are kept). The forced DqnMath mode applies to every agent
+/// the episodes construct and is always restored to per-config behaviour.
+ServeRun run_serve(const bench::Scenario& sc, rl::DqnMath math, bool summary_only,
+                   int repeats) {
     rl::force_dqn_math(math);
-    const harness::ExperimentHarness h(perf_harness_config(summary_only));
-    ServeCell cell;
+    auto cfg = bench::harness_config();
+    cfg.summary_only = summary_only;
+    const harness::ExperimentHarness h(cfg);
+    ServeRun run;
     for (int rep = 0; rep < repeats; ++rep) {
         prof::reset();
         const std::uint64_t a0 = alloc_count();
         const std::uint64_t b0 = alloc_bytes();
         const auto t0 = std::chrono::steady_clock::now();
         const auto results = h.run(sc);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double wall = std::chrono::duration<double>(t1 - t0).count();
-        if (rep == 0) {
-            cell.wall_s = wall;
-            cell.allocs = alloc_count() - a0;
-            cell.alloc_bytes = alloc_bytes() - b0;
-            cell.matvec_calls = prof::counter_total("rl.matvec_calls");
-            for (const auto& r : results) {
-                if (!r.serving_trace) continue;
-                cell.requests += r.serving_trace->size();
-                cell.thermal_steps += r.serving_trace->thermal_steps();
-            }
-            cell.json = harness::scenario_json(sc, results);
-        } else {
-            cell.wall_s = std::min(cell.wall_s, wall);
+        const double wall = seconds_since(t0);
+        if (rep > 0) {
+            run.wall_s = std::min(run.wall_s, wall);
+            continue;
         }
+        run.wall_s = wall;
+        run.allocs = alloc_count() - a0;
+        run.alloc_bytes = alloc_bytes() - b0;
+        run.matvec_calls = prof::counter_total("rl.matvec_calls");
+        for (const auto& r : results) {
+            if (!r.serving_trace) continue;
+            run.requests += r.serving_trace->size();
+            run.thermal_steps += r.serving_trace->thermal_steps();
+        }
+        run.json_text = harness::scenario_json(sc, results);
     }
-    cell.requests_per_sec = static_cast<double>(cell.requests) / std::max(cell.wall_s, 1e-9);
+    run.requests_per_sec = static_cast<double>(run.requests) / std::max(run.wall_s, 1e-9);
     rl::force_dqn_math(std::nullopt);
-    return cell;
+    return run;
+}
+
+std::string serve_table(const std::string& title, const char* name_a, const ServeRun& a,
+                        const char* name_b, const ServeRun& b) {
+    util::TextTable table({"serve_saturation run", "wall (s)", "req/s", "thermal steps",
+                           "matvec calls", "allocs", "alloc MB"});
+    for (const auto& [name, r] : {std::pair{name_a, &a}, std::pair{name_b, &b}}) {
+        table.add_row({name, util::format_double(r->wall_s, 3),
+                       util::format_double(r->requests_per_sec, 1),
+                       std::to_string(r->thermal_steps), std::to_string(r->matvec_calls),
+                       std::to_string(r->allocs),
+                       util::format_double(static_cast<double>(r->alloc_bytes) / 1e6, 2)});
+    }
+    return table.render(title);
+}
+
+/// serve_saturation under scalar and batched math, both with full ledgers;
+/// the batched run is kept in `batched` for the summary-only cell.
+CellResult serve_saturation_cell(const bench::Scenario& sc, int repeats, ServeRun& batched) {
+    const auto scalar = run_serve(sc, rl::DqnMath::scalar, false, repeats);
+    batched = run_serve(sc, rl::DqnMath::batched, false, repeats);
+    const bool identical = scalar.json_text == batched.json_text;
+    const double speedup = scalar.wall_s / batched.wall_s;
+    const double matvec_reduction =
+        static_cast<double>(scalar.matvec_calls) /
+        static_cast<double>(std::max<std::uint64_t>(batched.matvec_calls, 1));
+
+    CellResult c;
+    if (!identical) c.failures.emplace_back("serve_saturation JSON differs between DqnMath modes");
+    if (prof::kCompiled && matvec_reduction < 2.0) {
+        c.failures.push_back(strf("batched math issues only %.2fx fewer scalar matvecs (< 2x)",
+                                  matvec_reduction));
+    }
+    // Wall-clock improvement bar: only in full mode, where the episodes are
+    // long enough that scheduler noise cannot flip the sign.
+    if (!harness::fast_mode() && speedup <= 1.0) {
+        c.failures.push_back(strf("batched math is not faster end to end (%.2fx)", speedup));
+    }
+    c.text = serve_table("DQN math on serve_saturation (all arms; JSON byte-identical)",
+                         "scalar math, full ledger", scalar, "batched math, full ledger",
+                         batched) +
+             strf("batched speedup %.2fx, matvec reduction %.1fx\n\n", speedup,
+                  matvec_reduction);
+    c.json.obj("scalar", scalar.json())
+        .obj("batched", batched.json())
+        .num("speedup", speedup)
+        .num("matvec_reduction", matvec_reduction)
+        .flag("summaries_bit_identical", identical);
+    return c;
+}
+
+/// Summary-only ledgers vs full row capture (the serve cell's batched run).
+/// Row capture is already allocation-*count* cheap (one reserve per trace),
+/// so the fast path's win is the O(requests) row storage it never
+/// materialises: the gate is on allocated bytes.
+CellResult summary_only_cell(const bench::Scenario& sc, int repeats, const ServeRun& full) {
+    const auto summary = run_serve(sc, rl::DqnMath::batched, /*summary_only=*/true, repeats);
+    const bool identical = summary.json_text == full.json_text;
+    const std::uint64_t saved =
+        full.alloc_bytes > summary.alloc_bytes ? full.alloc_bytes - summary.alloc_bytes : 0;
+
+    CellResult c;
+    if (!identical) c.failures.emplace_back("summary-only JSON differs from full-ledger JSON");
+    if (summary.alloc_bytes >= full.alloc_bytes) {
+        c.failures.push_back(strf("summary-only mode does not shrink allocated bytes "
+                                  "(%llu >= %llu)",
+                                  static_cast<unsigned long long>(summary.alloc_bytes),
+                                  static_cast<unsigned long long>(full.alloc_bytes)));
+    }
+    c.text = serve_table("ledgers on serve_saturation (batched math; JSON byte-identical)",
+                         "full ledger", full, "summary-only", summary) +
+             strf("summary-only skips %.0f KB of ledger rows\n\n",
+                  static_cast<double>(saved) / 1e3);
+    c.json.obj("full", full.json())
+        .obj("summary_only", summary.json())
+        .count("ledger_bytes_saved", saved)
+        .flag("json_bit_identical", identical);
+    return c;
 }
 
 /// One timed scenario run (the result is discarded, only the clock matters).
-double wall_of_run(const bench::Scenario& sc, const harness::ExperimentHarness& h) {
+double wall_of(const bench::Scenario& sc, const harness::HarnessConfig& cfg, bool timers) {
+    prof::set_enabled(timers);
+    const harness::ExperimentHarness h(cfg);
     prof::reset();
     const auto t0 = std::chrono::steady_clock::now();
     const auto results = h.run(sc);
-    const auto t1 = std::chrono::steady_clock::now();
+    const double wall = seconds_since(t0);
     g_sink = static_cast<double>(results.size());
-    return std::chrono::duration<double>(t1 - t0).count();
+    return wall;
 }
 
-/// Min-of-N wall-clock with timers off vs on. The two modes are interleaved
-/// (off, on, off, on, ...) after one untimed warm-up run, so clock drift and
-/// cache warm-up hit both sides equally instead of biasing whichever block
-/// ran first.
-std::pair<double, double> profiler_ab_wall_s(const bench::Scenario& sc,
-                                             const harness::ExperimentHarness& h,
-                                             int pairs) {
-    prof::set_enabled(false);
-    g_sink = wall_of_run(sc, h); // warm-up, discarded
+/// A counter summed over the episodes of a run.
+struct Tally {
+    const char* key;
+    std::uint64_t (*of)(const harness::EpisodeResult&);
+    const char* zero_failure; ///< FAIL message when the total is zero, or nullptr
+};
+
+std::uint64_t events_of(const harness::EpisodeResult& r) {
+    return r.telemetry ? r.telemetry->event_count() : 0;
+}
+std::uint64_t breaches_of(const harness::EpisodeResult& r) {
+    return r.telemetry ? r.telemetry->breach_count() : 0;
+}
+std::uint64_t requests_of(const harness::EpisodeResult& r) {
+    return r.serving_trace ? r.serving_trace->size() : 0;
+}
+
+/// An overhead cell: `scenario` timed under `off` and `on`, two interleaved
+/// (off, on) pairs after a warm-up, min of N per side, so clock drift and
+/// cache warm-up hit both sides equally. The cell fails when the overhead
+/// is over `max_pct` percent AND over `floor_s` seconds.
+struct OnOffSpec {
+    const char* scenario;
+    const char* what;    ///< printed label of the measured cost
+    const char* off_key; ///< JSON: <off_key>_wall_s
+    const char* on_key;
+    harness::HarnessConfig off;
+    harness::HarnessConfig on;
+    /// The on side runs the profiler's timers, and the bar applies only
+    /// when the profiler is compiled in.
+    bool profiler_timers = false;
+    /// Correctness pair, run once before the timed pairs and doubling as
+    /// their warm-up: its scenario JSON must match byte for byte, else
+    /// `json_failure`. Without one, a discarded run of `off` warms up.
+    std::optional<std::pair<harness::HarnessConfig, harness::HarnessConfig>> json_pair = {};
+    const char* json_failure = nullptr;
+    std::vector<Tally> tallies = {}; ///< over json_pair's second run
+    double max_pct = 50.0;
+    double floor_s = 0.1;
+    const char* fail_format = nullptr; ///< printf format of the bar's FAIL, given the %
+};
+
+CellResult run_on_off(const OnOffSpec& s) {
+    const auto& sc = bench::scenario(s.scenario);
+    CellResult c;
+    std::string notes;
+    bool identical = false;
+    std::vector<std::pair<const char*, std::uint64_t>> totals;
+    if (s.json_pair) {
+        const auto off = harness::ExperimentHarness(s.json_pair->first).run(sc);
+        const auto on = harness::ExperimentHarness(s.json_pair->second).run(sc);
+        identical = harness::scenario_json(sc, off) == harness::scenario_json(sc, on);
+        if (!identical) c.failures.emplace_back(s.json_failure);
+        for (const auto& t : s.tallies) {
+            std::uint64_t total = 0;
+            for (const auto& r : on) total += t.of(r);
+            if (total == 0 && t.zero_failure != nullptr) c.failures.emplace_back(t.zero_failure);
+            totals.emplace_back(t.key, total);
+            notes += strf(", %llu %s", static_cast<unsigned long long>(total), t.key);
+        }
+        notes += identical ? ", JSON byte-identical" : ", JSON DIFFERS";
+    } else {
+        g_sink = wall_of(sc, s.off, false); // warm-up, discarded
+    }
     double off_s = 0.0;
     double on_s = 0.0;
-    for (int rep = 0; rep < pairs; ++rep) {
-        prof::set_enabled(false);
-        const double off = wall_of_run(sc, h);
-        prof::set_enabled(true);
-        const double on = wall_of_run(sc, h);
+    for (int rep = 0; rep < 2; ++rep) {
+        const double off = wall_of(sc, s.off, false);
+        const double on = wall_of(sc, s.on, s.profiler_timers);
         off_s = rep == 0 ? off : std::min(off_s, off);
         on_s = rep == 0 ? on : std::min(on_s, on);
     }
     prof::set_enabled(false);
     prof::reset();
-    return {off_s, on_s};
+
+    const double pct = (on_s - off_s) / std::max(off_s, 1e-9) * 100.0;
+    const bool gated = prof::kCompiled || !s.profiler_timers;
+    if (gated && pct > s.max_pct && (on_s - off_s) > s.floor_s) {
+        c.failures.push_back(strf(s.fail_format, pct));
+    }
+    if (!gated) notes += "; profiler compiled out";
+    c.text = strf("%s on %s: %s %.3fs, %s %.3fs (%.2f%% overhead%s)\n\n", s.what, s.scenario,
+                  s.off_key, off_s, s.on_key, on_s, pct, notes.c_str());
+    c.json.str("scenario", s.scenario)
+        .num(std::string(s.off_key) + "_wall_s", off_s)
+        .num(std::string(s.on_key) + "_wall_s", on_s)
+        .num("overhead_pct", pct);
+    for (const auto& [key, total] : totals) c.json.count(key, total);
+    if (s.json_pair) c.json.flag("json_bit_identical", identical);
+    return c;
 }
 
-void emit_serve_cell(std::ostringstream& js, const char* name, const ServeCell& c,
-                     const char* trailing_comma) {
-    js << "      \"" << name << "\": {\"wall_s\": " << json_num(c.wall_s)
-       << ", \"requests\": " << c.requests
-       << ", \"requests_per_sec\": " << json_num(c.requests_per_sec)
-       << ", \"thermal_steps\": " << c.thermal_steps
-       << ", \"matvec_calls\": " << c.matvec_calls << ", \"allocs\": " << c.allocs
-       << ", \"alloc_bytes\": " << c.alloc_bytes << "}" << trailing_comma << "\n";
-}
+struct Cell {
+    const char* name; ///< key under "cells"
+    std::function<CellResult()> run;
+};
 
-/// Measure the perf cells, print them, gate the acceptance bars and write
+/// Run the cells in order, print them, gate the acceptance bars and write
 /// BENCH_overhead.json. Returns false (failing the bench) on any missed bar.
 bool perf_trajectory() {
-    bool ok = true;
     const bool fast = harness::fast_mode();
-    const int train_steps = fast ? 80 : 400;
-    const int serve_repeats = fast ? 2 : 1;
-    const int fleet_pairs = 2;
-
-    // --- cell 1: DQN train step, scalar vs batched --------------------------
-    const auto scalar_t = run_train_cell(rl::DqnMath::scalar, train_steps);
-    const auto batched_t = run_train_cell(rl::DqnMath::batched, train_steps);
-    const bool loss_identical = scalar_t.losses == batched_t.losses;
-    if (!loss_identical) {
-        std::printf("FAIL: scalar and batched train losses diverge\n");
-        ok = false;
-    }
-    const double train_speedup = scalar_t.us_per_step / batched_t.us_per_step;
-
-    util::TextTable train_table({"train step (batch 32)", "us/step", "matvec calls", "allocs"});
-    train_table.add_row({"scalar", util::format_double(scalar_t.us_per_step, 2),
-                         std::to_string(scalar_t.matvec_calls),
-                         std::to_string(scalar_t.allocs)});
-    train_table.add_row({"batched", util::format_double(batched_t.us_per_step, 2),
-                         std::to_string(batched_t.matvec_calls),
-                         std::to_string(batched_t.allocs)});
-    train_table.add_row({"speedup", util::format_double(train_speedup, 2) + "x", "-",
-                         loss_identical ? "losses bit-identical" : "LOSSES DIVERGE"});
-    std::printf("%s", train_table.render("DQN math: scalar reference vs blocked batched "
-                                         "(" + std::to_string(train_steps) + " steps)")
-                          .c_str());
-
-    // --- cell 2: serve_saturation end to end, scalar vs batched -------------
+    const int repeats = fast ? 2 : 1;
     const auto& sc = bench::scenario("serve_saturation");
-    const auto scalar_s = run_serve_cell(sc, rl::DqnMath::scalar, false, serve_repeats);
-    const auto batched_s = run_serve_cell(sc, rl::DqnMath::batched, false, serve_repeats);
-    const bool serve_identical = scalar_s.json == batched_s.json;
-    if (!serve_identical) {
-        std::printf("FAIL: serve_saturation JSON differs between DqnMath modes\n");
-        ok = false;
-    }
-    const double serve_speedup = scalar_s.wall_s / batched_s.wall_s;
-    const double matvec_reduction =
-        static_cast<double>(scalar_s.matvec_calls) /
-        static_cast<double>(std::max<std::uint64_t>(batched_s.matvec_calls, 1));
-    if (prof::kCompiled && matvec_reduction < 2.0) {
-        std::printf("FAIL: batched math issues only %.2fx fewer scalar matvecs (< 2x)\n",
-                    matvec_reduction);
-        ok = false;
-    }
-    // Wall-clock improvement bar: only in full mode, where the episodes are
-    // long enough that scheduler noise cannot flip the sign.
-    if (!fast && serve_speedup <= 1.0) {
-        std::printf("FAIL: batched math is not faster end to end (%.2fx)\n", serve_speedup);
-        ok = false;
-    }
-
-    // --- cell 3: summary-only ledgers vs full row capture -------------------
-    // Row capture is already allocation-*count* cheap (one reserve per
-    // trace), so the fast path's win is the O(requests) row storage it never
-    // materialises: the gate is on allocated bytes.
-    const auto summary_s =
-        run_serve_cell(sc, rl::DqnMath::batched, /*summary_only=*/true, serve_repeats);
-    const bool summary_identical = summary_s.json == batched_s.json;
-    if (!summary_identical) {
-        std::printf("FAIL: summary-only JSON differs from full-ledger JSON\n");
-        ok = false;
-    }
-    if (summary_s.alloc_bytes >= batched_s.alloc_bytes) {
-        std::printf("FAIL: summary-only mode does not shrink allocated bytes "
-                    "(%llu >= %llu)\n",
-                    static_cast<unsigned long long>(summary_s.alloc_bytes),
-                    static_cast<unsigned long long>(batched_s.alloc_bytes));
-        ok = false;
-    }
-    const std::uint64_t ledger_bytes_saved =
-        batched_s.alloc_bytes > summary_s.alloc_bytes
-            ? batched_s.alloc_bytes - summary_s.alloc_bytes
-            : 0;
-
-    util::TextTable serve_table({"serve_saturation cell", "wall (s)", "req/s",
-                                 "thermal steps", "matvec calls", "allocs",
-                                 "alloc MB"});
-    const auto serve_row = [&](const char* name, const ServeCell& c) {
-        serve_table.add_row({name, util::format_double(c.wall_s, 3),
-                             util::format_double(c.requests_per_sec, 1),
-                             std::to_string(c.thermal_steps),
-                             std::to_string(c.matvec_calls), std::to_string(c.allocs),
-                             util::format_double(static_cast<double>(c.alloc_bytes) / 1e6, 2)});
-    };
-    serve_row("scalar math, full ledger", scalar_s);
-    serve_row("batched math, full ledger", batched_s);
-    serve_row("batched math, summary-only", summary_s);
-    std::printf("%s", serve_table.render("hot-path layers on serve_saturation (all arms; "
-                                         "JSON byte-identical across rows)")
-                          .c_str());
-    std::printf("batched speedup %.2fx, matvec reduction %.1fx, summary-only skips "
-                "%.0f KB of ledger rows\n\n",
-                serve_speedup, matvec_reduction,
-                static_cast<double>(ledger_bytes_saved) / 1e3);
-
-    // --- cell 4: profiler timers-enabled overhead ---------------------------
-    const auto& fleet_sc = bench::scenario("serve_fleet_saturation");
-    const harness::ExperimentHarness fleet_h(perf_harness_config(/*summary_only=*/true));
-    const auto [off_s, on_s] = profiler_ab_wall_s(fleet_sc, fleet_h, fleet_pairs);
-    const double overhead_pct = (on_s - off_s) / std::max(off_s, 1e-9) * 100.0;
-    // 50 ms absolute floor keeps the percentage bar meaningful on the tiny
-    // fast-mode runs, where one scheduler hiccup exceeds 2%.
-    if (prof::kCompiled && overhead_pct > 2.0 && (on_s - off_s) > 0.05) {
-        std::printf("FAIL: profiler timers cost %.2f%% of serve_fleet_saturation (>= 2%%)\n",
-                    overhead_pct);
-        ok = false;
-    }
-    std::printf("profiler timers on serve_fleet_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead%s)\n\n",
-                off_s, on_s, overhead_pct,
-                prof::kCompiled ? "" : "; profiler compiled out");
-
-    // --- cell 5: sim-time telemetry recording overhead ----------------------
-    // The hard gate is correctness: scenario JSON must be byte-identical with
-    // recording on vs off (instrumentation must not perturb the simulation).
-    // The wall-clock bar is deliberately loose -- recording allocates per
-    // event, and this cell documents the cost rather than policing scheduler
-    // noise: fail only past 50% AND a 100 ms absolute excess.
-    auto tel_cfg_off = perf_harness_config(/*summary_only=*/true);
-    auto tel_cfg_on = tel_cfg_off;
-    tel_cfg_on.telemetry = true;
-    const harness::ExperimentHarness tel_h_off(tel_cfg_off);
-    const harness::ExperimentHarness tel_h_on(tel_cfg_on);
-    std::uint64_t tel_events = 0;
-    std::uint64_t tel_breaches = 0;
-    bool tel_identical = false;
-    {
-        // Correctness pass (doubles as warm-up for the timed pairs).
-        const auto r_off = tel_h_off.run(sc);
-        const auto r_on = tel_h_on.run(sc);
-        tel_identical =
-            harness::scenario_json(sc, r_off) == harness::scenario_json(sc, r_on);
-        for (const auto& r : r_on) {
-            if (!r.telemetry) continue;
-            tel_events += r.telemetry->event_count();
-            tel_breaches += r.telemetry->breach_count();
-        }
-    }
-    if (!tel_identical) {
-        std::printf("FAIL: scenario JSON differs with telemetry recording on\n");
-        ok = false;
-    }
-    if (tel_events == 0) {
-        std::printf("FAIL: telemetry recording captured zero events\n");
-        ok = false;
-    }
-    double tel_off_s = 0.0;
-    double tel_on_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double off = wall_of_run(sc, tel_h_off);
-        const double on = wall_of_run(sc, tel_h_on);
-        tel_off_s = rep == 0 ? off : std::min(tel_off_s, off);
-        tel_on_s = rep == 0 ? on : std::min(tel_on_s, on);
-    }
-    const double tel_overhead_pct =
-        (tel_on_s - tel_off_s) / std::max(tel_off_s, 1e-9) * 100.0;
-    if (tel_overhead_pct > 50.0 && (tel_on_s - tel_off_s) > 0.1) {
-        std::printf("FAIL: telemetry recording costs %.2f%% of serve_saturation "
-                    "(>= 50%%)\n",
-                    tel_overhead_pct);
-        ok = false;
-    }
-    std::printf("telemetry recording on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, %llu events, %llu breaches, JSON %s)\n\n",
-                tel_off_s, tel_on_s, tel_overhead_pct,
-                static_cast<unsigned long long>(tel_events),
-                static_cast<unsigned long long>(tel_breaches),
-                tel_identical ? "byte-identical" : "DIFFERS");
-
-    // --- cell 6: streaming rollup aggregation overhead ----------------------
-    // PR 9's aggregation layer (HistSketch + windowed rollups) folds every
-    // request outcome, device span and temperature sample into O(windows)
-    // state whenever telemetry is on. The hard gate is again correctness:
-    // scenario JSON must be byte-identical with rollups on vs off. The
-    // wall-clock bar mirrors cell 5's loose shape (fail only past 50% AND a
-    // 100 ms absolute excess) -- the cell documents the incremental cost of
-    // aggregation on top of recording.
-    auto roll_cfg_off = tel_cfg_on;
-    roll_cfg_off.telemetry_options.rollups = false;
-    const harness::ExperimentHarness roll_h_off(roll_cfg_off);
-    bool roll_identical = false;
-    {
-        // Correctness pass (warm-up for the timed pairs); tel_h_on has
-        // rollups on by default.
-        const auto r_off = roll_h_off.run(sc);
-        const auto r_on = tel_h_on.run(sc);
-        roll_identical =
-            harness::scenario_json(sc, r_off) == harness::scenario_json(sc, r_on);
-    }
-    if (!roll_identical) {
-        std::printf("FAIL: scenario JSON differs with rollup aggregation on\n");
-        ok = false;
-    }
-    double roll_off_s = 0.0;
-    double roll_on_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double off = wall_of_run(sc, roll_h_off);
-        const double on = wall_of_run(sc, tel_h_on);
-        roll_off_s = rep == 0 ? off : std::min(roll_off_s, off);
-        roll_on_s = rep == 0 ? on : std::min(roll_on_s, on);
-    }
-    const double roll_overhead_pct =
-        (roll_on_s - roll_off_s) / std::max(roll_off_s, 1e-9) * 100.0;
-    if (roll_overhead_pct > 50.0 && (roll_on_s - roll_off_s) > 0.1) {
-        std::printf("FAIL: rollup aggregation costs %.2f%% on top of recording "
-                    "(>= 50%%)\n",
-                    roll_overhead_pct);
-        ok = false;
-    }
-    std::printf("rollup aggregation on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, JSON %s)\n\n",
-                roll_off_s, roll_on_s, roll_overhead_pct,
-                roll_identical ? "byte-identical" : "DIFFERS");
-
-    // --- cell 7: trace capture + replay -------------------------------------
-    // The trace subsystem's whole value rests on replay being *the same
-    // episode*: record serve_saturation's request timelines during one run,
-    // replay the scenario from the recorded .ltrc files, and hard-gate
-    // byte-identity of the scenario JSON. The wall bar mirrors cells 5/6
-    // (fail only past 50% AND a 100 ms absolute excess): replay skips the
-    // arrival/frame RNG work but pays file I/O, so the cell documents the
-    // trade rather than policing noise.
+    auto lean = bench::harness_config();
+    lean.summary_only = true;
+    auto recording = lean;
+    recording.telemetry = true;
     const auto trace_dir =
         (std::filesystem::temp_directory_path() / "bench_overhead_traces").string();
-    std::filesystem::remove_all(trace_dir);
-    auto rec_cfg = perf_harness_config(/*summary_only=*/true);
-    rec_cfg.trace_dir = trace_dir;
-    auto rep_cfg = perf_harness_config(/*summary_only=*/true);
-    rep_cfg.replay_dir = trace_dir;
-    const harness::ExperimentHarness rec_h(rec_cfg);
-    const harness::ExperimentHarness rep_h(rep_cfg);
-    bool replay_identical = false;
-    std::uint64_t replay_requests = 0;
-    {
-        // Correctness pass (doubles as warm-up for the timed pairs).
-        const auto r_gen = rec_h.run(sc);
-        const auto r_rep = rep_h.run(sc);
-        replay_identical =
-            harness::scenario_json(sc, r_gen) == harness::scenario_json(sc, r_rep);
-        for (const auto& r : r_rep) {
-            if (r.serving_trace) replay_requests += r.serving_trace->size();
-        }
-    }
-    if (!replay_identical) {
-        std::printf("FAIL: scenario JSON differs between recorded and replayed runs\n");
-        ok = false;
-    }
-    if (replay_requests == 0) {
-        std::printf("FAIL: replayed run served zero requests\n");
-        ok = false;
-    }
-    double gen_s = 0.0;
-    double rep_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double g = wall_of_run(sc, tel_h_off); // analytic arrivals, no capture
-        const double r = wall_of_run(sc, rep_h);
-        gen_s = rep == 0 ? g : std::min(gen_s, g);
-        rep_s = rep == 0 ? r : std::min(rep_s, r);
-    }
-    const double replay_overhead_pct = (rep_s - gen_s) / std::max(gen_s, 1e-9) * 100.0;
-    if (replay_overhead_pct > 50.0 && (rep_s - gen_s) > 0.1) {
-        std::printf("FAIL: trace replay costs %.2f%% over analytic generation "
-                    "(>= 50%%)\n",
-                    replay_overhead_pct);
-        ok = false;
-    }
-    std::printf("trace replay on serve_saturation: %.3fs generated, %.3fs replayed "
-                "(%.2f%% overhead, %llu requests, JSON %s)\n\n",
-                gen_s, rep_s, replay_overhead_pct,
-                static_cast<unsigned long long>(replay_requests),
-                replay_identical ? "byte-identical" : "DIFFERS");
-    std::filesystem::remove_all(trace_dir);
+    auto capture = lean;
+    capture.trace_dir = trace_dir;
+    auto replay = lean;
+    replay.replay_dir = trace_dir;
+    ServeRun batched; // serve_saturation's full-ledger batched run
 
-    // --- BENCH_overhead.json -------------------------------------------------
-    std::ostringstream js;
-    js << "{\n"
-       << "  " << util::build_info_json_fields() << ",\n"
-       << "  \"bench\": \"bench_overhead\",\n"
-       << "  \"fast_mode\": " << (fast ? "true" : "false") << ",\n"
-       << "  \"profiling_compiled\": " << (prof::kCompiled ? "true" : "false") << ",\n"
-       << "  \"cells\": {\n"
-       << "    \"train_step\": {\n"
-       << "      \"scalar\": {\"us_per_step\": " << json_num(scalar_t.us_per_step)
-       << ", \"matvec_calls\": " << scalar_t.matvec_calls
-       << ", \"allocs\": " << scalar_t.allocs
-       << ", \"alloc_bytes\": " << scalar_t.alloc_bytes << "},\n"
-       << "      \"batched\": {\"us_per_step\": " << json_num(batched_t.us_per_step)
-       << ", \"matvec_calls\": " << batched_t.matvec_calls
-       << ", \"allocs\": " << batched_t.allocs
-       << ", \"alloc_bytes\": " << batched_t.alloc_bytes << "},\n"
-       << "      \"speedup\": " << json_num(train_speedup) << ",\n"
-       << "      \"loss_bit_identical\": " << (loss_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"serve_saturation\": {\n";
-    emit_serve_cell(js, "scalar", scalar_s, ",");
-    emit_serve_cell(js, "batched", batched_s, ",");
-    js << "      \"speedup\": " << json_num(serve_speedup) << ",\n"
-       << "      \"matvec_reduction\": " << json_num(matvec_reduction) << ",\n"
-       << "      \"summaries_bit_identical\": " << (serve_identical ? "true" : "false")
-       << "\n"
-       << "    },\n"
-       << "    \"summary_only_ledgers\": {\n";
-    emit_serve_cell(js, "full", batched_s, ",");
-    emit_serve_cell(js, "summary_only", summary_s, ",");
-    js << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << ",\n"
-       << "      \"json_bit_identical\": " << (summary_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"profiler_overhead\": {\n"
-       << "      \"scenario\": \"serve_fleet_saturation\",\n"
-       << "      \"timers_off_wall_s\": " << json_num(off_s) << ",\n"
-       << "      \"timers_on_wall_s\": " << json_num(on_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(overhead_pct) << "\n"
-       << "    },\n"
-       << "    \"telemetry_overhead\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"recording_off_wall_s\": " << json_num(tel_off_s) << ",\n"
-       << "      \"recording_on_wall_s\": " << json_num(tel_on_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(tel_overhead_pct) << ",\n"
-       << "      \"events\": " << tel_events << ",\n"
-       << "      \"breaches\": " << tel_breaches << ",\n"
-       << "      \"json_bit_identical\": " << (tel_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"rollup_overhead\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"rollups_off_wall_s\": " << json_num(roll_off_s) << ",\n"
-       << "      \"rollups_on_wall_s\": " << json_num(roll_on_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(roll_overhead_pct) << ",\n"
-       << "      \"json_bit_identical\": " << (roll_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"trace_replay\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"generated_wall_s\": " << json_num(gen_s) << ",\n"
-       << "      \"replayed_wall_s\": " << json_num(rep_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(replay_overhead_pct) << ",\n"
-       << "      \"requests\": " << replay_requests << ",\n"
-       << "      \"json_bit_identical\": " << (replay_identical ? "true" : "false") << "\n"
-       << "    }\n"
-       << "  }\n"
-       << "}\n";
+    const Cell cells[] = {
+        {"train_step", [&] { return train_step_cell(fast ? 80 : 400); }},
+        {"serve_saturation", [&] { return serve_saturation_cell(sc, repeats, batched); }},
+        {"summary_only_ledgers", [&] { return summary_only_cell(sc, repeats, batched); }},
+        // The 50 ms floor keeps the 2% bar meaningful on the tiny fast-mode
+        // runs, where one scheduler hiccup exceeds 2%.
+        {"profiler_overhead",
+         [&] {
+             return run_on_off(
+                 {.scenario = "serve_fleet_saturation", .what = "profiler timers",
+                  .off_key = "timers_off", .on_key = "timers_on", .off = lean, .on = lean,
+                  .profiler_timers = true, .max_pct = 2.0, .floor_s = 0.05,
+                  .fail_format = "profiler timers cost %.2f%% of serve_fleet_saturation (>= 2%%)"});
+         }},
+        // The hard gate is correctness: recording must not perturb the
+        // simulation. The loose wall bar documents the per-event cost rather
+        // than policing scheduler noise.
+        {"telemetry_overhead",
+         [&] {
+             return run_on_off(
+                 {.scenario = "serve_saturation", .what = "telemetry recording",
+                  .off_key = "recording_off", .on_key = "recording_on", .off = lean,
+                  .on = recording, .json_pair = std::pair{lean, recording},
+                  .json_failure = "scenario JSON differs with telemetry recording on",
+                  .tallies = {{"events", events_of, "telemetry recording captured zero events"},
+                              {"breaches", breaches_of, nullptr}},
+                  .fail_format = "telemetry recording costs %.2f%% of serve_saturation (>= 50%%)"});
+         }},
+        // Replay must be the same episode: the recorded run and the run
+        // replayed from its .ltrc files give byte-identical JSON. Replay skips
+        // the arrival/frame RNG work but pays file I/O, so it is timed against
+        // analytic generation without capture.
+        {"trace_replay",
+         [&] {
+             std::filesystem::remove_all(trace_dir);
+             auto c = run_on_off(
+                 {.scenario = "serve_saturation", .what = "trace replay",
+                  .off_key = "generated", .on_key = "replayed", .off = lean, .on = replay,
+                  .json_pair = std::pair{capture, replay},
+                  .json_failure = "scenario JSON differs between recorded and replayed runs",
+                  .tallies = {{"requests", requests_of, "replayed run served zero requests"}},
+                  .fail_format = "trace replay costs %.2f%% over analytic generation (>= 50%%)"});
+             std::filesystem::remove_all(trace_dir);
+             return c;
+         }},
+    };
 
+    bool ok = true;
+    JsonObject json_cells;
+    for (const auto& cell : cells) {
+        const auto c = cell.run();
+        for (const auto& f : c.failures) std::printf("FAIL: %s\n", f.c_str());
+        std::printf("%s", c.text.c_str());
+        ok = ok && c.failures.empty();
+        json_cells.obj(cell.name, c.json);
+    }
+
+    const auto doc = JsonObject()
+                         .count("schema_version", util::kSchemaVersion)
+                         .str("build", util::build_id())
+                         .str("bench", "bench_overhead")
+                         .flag("fast_mode", fast)
+                         .flag("profiling_compiled", prof::kCompiled)
+                         .obj("cells", json_cells);
     const char* out_path = "BENCH_overhead.json";
     std::ofstream out(out_path);
-    out << js.str();
+    out << doc.render() << "\n";
     if (!out) {
         std::printf("FAIL: could not write %s\n", out_path);
-        ok = false;
-    } else {
-        std::printf("perf trajectory written to %s (schema_version %d)\n\n", out_path,
-                    util::kSchemaVersion);
+        return false;
     }
+    std::printf("perf trajectory written to %s (schema_version %d)\n\n", out_path,
+                util::kSchemaVersion);
     return ok;
 }
 

@@ -19,6 +19,10 @@ namespace lotus::bench {
 using harness::EpisodeResult;
 using harness::Scenario;
 
+/// The bench harness config: the default pool size unless LOTUS_BENCH_JOBS
+/// overrides it.
+[[nodiscard]] harness::HarnessConfig harness_config();
+
 /// The registry scenario with this name (throws if unknown).
 [[nodiscard]] const Scenario& scenario(const std::string& name);
 

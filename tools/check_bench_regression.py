@@ -135,7 +135,6 @@ def main():
         ("serve_saturation", "summaries_bit_identical"),
         ("summary_only_ledgers", "json_bit_identical"),
         ("telemetry_overhead", "json_bit_identical"),
-        ("rollup_overhead", "json_bit_identical"),
         ("trace_replay", "json_bit_identical"),
     ]
     for cell, flag in flags:

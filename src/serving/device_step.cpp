@@ -36,7 +36,7 @@ void validate_streams(const std::vector<StreamSpec>& streams, const std::string&
 StepContext::StepContext(const detector::DetectorModel& model_,
                          const std::vector<StreamSpec>& streams_)
     : model(model_), streams(streams_), tel(telemetry::current()),
-      rollup(tel ? tel->rollup() : nullptr) {
+      rollup(tel ? &tel->rollup() : nullptr) {
     if (!tel) return;
     stream_tracks_.reserve(streams.size());
     for (const auto& s : streams) stream_tracks_.push_back(tel->track("streams", s.name));

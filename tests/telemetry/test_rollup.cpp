@@ -1,7 +1,7 @@
 // Rollup contract tests: window assignment and count identities, pro-rata
 // span splitting across window boundaries, the merged-window-sketches ==
 // whole-run-sketch identity that health.json is built on, and the recorder
-// integration switch (rollups off -> no accumulator, exports throw).
+// integration (every recorder carries a rollup with well-formed exports).
 
 #include <gtest/gtest.h>
 
@@ -129,26 +129,10 @@ TEST(Rollup, UnmatchedBreachProcessesCountTowardFleet) {
 
 TEST(Recorder, RollupsOnByDefault) {
     Recorder rec;
-    ASSERT_NE(rec.rollup(), nullptr);
-    EXPECT_EQ(rec.rollup()->window_s(), 1.0);
+    EXPECT_EQ(rec.rollup().window_s(), 1.0);
     // Exports are well-formed even with nothing recorded.
     EXPECT_NE(rec.rollup_json().find("\"schema_version\""), std::string::npos);
     EXPECT_NE(rec.health_json().find("\"fleet\""), std::string::npos);
-}
-
-TEST(Recorder, RollupsOffLeavesNoAccumulator) {
-    RecorderOptions opt;
-    opt.rollups = false;
-    Recorder rec(opt);
-    EXPECT_EQ(rec.rollup(), nullptr);
-    EXPECT_THROW((void)rec.rollup_json(), std::logic_error);
-    EXPECT_THROW((void)rec.health_json(), std::logic_error);
-}
-
-TEST(Recorder, RejectsNonPositiveRollupWindow) {
-    RecorderOptions opt;
-    opt.rollup_window_s = 0.0;
-    EXPECT_THROW(Recorder{opt}, std::invalid_argument);
 }
 
 } // namespace

@@ -97,7 +97,7 @@ std::vector<Episode> load_tree(const std::string& root) {
     }
     if (episodes.empty()) {
         usage_error("no health.json under '" + root +
-                    "' (was the run made with --telemetry and rollups on?)");
+                    "' (was the run made with --telemetry?)");
     }
     return episodes;
 }

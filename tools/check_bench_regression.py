@@ -34,38 +34,44 @@ import json
 import sys
 
 
+def malformed(message):
+    print(f"check_bench_regression: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
+    """Read a trajectory file; exit 2 unless it is an object whose cells are too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        print(f"check_bench_regression: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
+        malformed(f"cannot read {path}: {exc}")
+    if not isinstance(doc, dict):
+        malformed(f"{path} is not a JSON object")
+    if not isinstance(doc.get("cells"), dict):
+        malformed(f"{path} has no cells object")
+    return doc
 
 
-def serve_cell(doc, path):
+def is_number(node):
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
+def requests_per_sec(doc, path, variant):
     try:
-        return doc["cells"]["serve_saturation"]
+        value = doc["cells"]["serve_saturation"][variant]["requests_per_sec"]
     except (KeyError, TypeError):
-        print(f"check_bench_regression: {path} has no serve_saturation cell",
-              file=sys.stderr)
-        sys.exit(2)
+        malformed(f"{path} has no serve_saturation.{variant}.requests_per_sec")
+    if not is_number(value):
+        malformed(f"{path} serve_saturation.{variant}.requests_per_sec is not a number")
+    return float(value)
 
 
 def throughput_ratio(doc, path):
-    cell = serve_cell(doc, path)
-    try:
-        scalar = float(cell["scalar"]["requests_per_sec"])
-        batched = float(cell["batched"]["requests_per_sec"])
-    except (KeyError, TypeError, ValueError):
-        print(f"check_bench_regression: {path} serve_saturation cell is malformed",
-              file=sys.stderr)
-        sys.exit(2)
+    scalar = requests_per_sec(doc, path, "scalar")
     if scalar <= 0.0:
-        print(f"check_bench_regression: {path} has non-positive scalar requests/sec",
-              file=sys.stderr)
-        sys.exit(2)
-    return batched / scalar
+        malformed(f"{path} has non-positive scalar requests/sec")
+    return requests_per_sec(doc, path, "batched") / scalar
 
 
 def numeric_leaves(node, prefix=""):
@@ -74,7 +80,7 @@ def numeric_leaves(node, prefix=""):
     if isinstance(node, dict):
         for key in sorted(node):
             out.extend(numeric_leaves(node[key], f"{prefix}.{key}" if prefix else key))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+    elif is_number(node):
         out.append((prefix, float(node)))
     return out
 
@@ -87,11 +93,9 @@ def print_cell_deltas(cur, base):
     log reader wants when deciding whether a pass was comfortable or
     marginal.
     """
-    cur_cells = cur.get("cells") if isinstance(cur.get("cells"), dict) else {}
-    base_cells = base.get("cells") if isinstance(base.get("cells"), dict) else {}
-    for cell in sorted(set(cur_cells) & set(base_cells)):
-        cur_leaves = dict(numeric_leaves(cur_cells[cell]))
-        base_leaves = dict(numeric_leaves(base_cells[cell]))
+    for cell in sorted(set(cur["cells"]) & set(base["cells"])):
+        cur_leaves = dict(numeric_leaves(cur["cells"][cell]))
+        base_leaves = dict(numeric_leaves(base["cells"][cell]))
         shared = sorted(set(cur_leaves) & set(base_leaves))
         if not shared:
             continue
@@ -138,7 +142,8 @@ def main():
         ("trace_replay", "json_bit_identical"),
     ]
     for cell, flag in flags:
-        if cur.get("cells", {}).get(cell, {}).get(flag) is not True:
+        node = cur["cells"].get(cell)
+        if not isinstance(node, dict) or node.get(flag) is not True:
             failures.append(f"current {cell}.{flag} is not true")
 
     print_cell_deltas(cur, base)
@@ -156,8 +161,8 @@ def main():
 
         if args.absolute:
             for variant in ("scalar", "batched"):
-                c = float(serve_cell(cur, args.current)[variant]["requests_per_sec"])
-                b = float(serve_cell(base, args.baseline)[variant]["requests_per_sec"])
+                c = requests_per_sec(cur, args.current, variant)
+                b = requests_per_sec(base, args.baseline, variant)
                 print(f"serve_saturation {variant} requests/sec: "
                       f"current {c:.1f}, baseline {b:.1f}")
                 if c < b * (1.0 - args.threshold):

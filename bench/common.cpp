@@ -1,6 +1,9 @@
 #include "common.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace lotus::bench {
 
@@ -21,8 +24,15 @@ const harness::ExperimentHarness& shared_harness() {
 harness::HarnessConfig harness_config() {
     harness::HarnessConfig cfg;
     if (const char* jobs = std::getenv("LOTUS_BENCH_JOBS")) {
-        const auto v = std::strtoull(jobs, nullptr, 10);
-        if (v > 0) cfg.jobs = static_cast<std::size_t>(v);
+        const char* end = jobs + std::strlen(jobs);
+        std::size_t v = 0;
+        const auto [ptr, ec] = std::from_chars(jobs, end, v);
+        if (ec != std::errc{} || ptr != end || v == 0) {
+            std::fprintf(stderr, "LOTUS_BENCH_JOBS='%s' is not a positive decimal integer\n",
+                         jobs);
+            std::exit(2);
+        }
+        cfg.jobs = v;
     }
     return cfg;
 }
@@ -32,17 +42,6 @@ const Scenario& scenario(const std::string& name) {
 }
 
 std::vector<EpisodeResult> run(const Scenario& s) { return shared_harness().run(s); }
-
-std::vector<EpisodeResult> run(const std::string& name) { return run(scenario(name)); }
-
-void print_figure(const std::string& title, const std::vector<EpisodeResult>& results) {
-    harness::print_figure(title, results);
-}
-
-void print_table_block(const std::string& heading,
-                       const std::vector<EpisodeResult>& results) {
-    harness::print_summary_table(heading, results);
-}
 
 void maybe_dump_csv(const std::string& stem, const std::vector<EpisodeResult>& results) {
     if (!env_flag("LOTUS_BENCH_CSV")) return;

@@ -1,10 +1,10 @@
 #pragma once
-// Thin front-end glue for the paper-reproduction bench binaries.
+// Thin front-end glue for the argument-free bench binaries.
 //
-// Every bench binary is argument-free and prints the rows/series of one
-// table or figure from the paper. All experiment driving lives in
+// bench_paper prints every figure and table of the paper; the others measure
+// the serving, fleet and overhead layers. All experiment driving lives in
 // lotus::harness: a bench looks its scenarios up in the ScenarioRegistry,
-// runs them on the shared ExperimentHarness (episodes execute in parallel;
+// runs them on an ExperimentHarness (episodes execute in parallel;
 // LOTUS_BENCH_JOBS overrides the pool size), and renders via the harness
 // sinks. Optional raw-trace CSV dumps: set LOTUS_BENCH_CSV=1; files land in
 // ./bench_out/.
@@ -20,7 +20,8 @@ using harness::EpisodeResult;
 using harness::Scenario;
 
 /// The bench harness config: the default pool size unless LOTUS_BENCH_JOBS
-/// overrides it.
+/// overrides it. A value that is not a positive decimal integer prints one
+/// line naming it and exits 2.
 [[nodiscard]] harness::HarnessConfig harness_config();
 
 /// The registry scenario with this name (throws if unknown).
@@ -28,12 +29,6 @@ using harness::Scenario;
 
 /// Run one scenario's full arm set on the shared bench harness.
 [[nodiscard]] std::vector<EpisodeResult> run(const Scenario& s);
-[[nodiscard]] std::vector<EpisodeResult> run(const std::string& name);
-
-/// Paper-style renderers (wrappers over the harness sinks).
-void print_figure(const std::string& title, const std::vector<EpisodeResult>& results);
-void print_table_block(const std::string& heading,
-                       const std::vector<EpisodeResult>& results);
 
 /// Dump raw traces to ./bench_out/<stem>_<arm>.csv when LOTUS_BENCH_CSV=1.
 void maybe_dump_csv(const std::string& stem, const std::vector<EpisodeResult>& results);

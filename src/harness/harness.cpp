@@ -128,10 +128,10 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
 }
 
 std::vector<EpisodeResult> ExperimentHarness::run(const Scenario& scenario) const {
-    return run(std::vector<const Scenario*>{&scenario});
+    return std::move(run(std::vector<const Scenario*>{&scenario}).front());
 }
 
-std::vector<EpisodeResult> ExperimentHarness::run(
+std::vector<std::vector<EpisodeResult>> ExperimentHarness::run(
     const std::vector<const Scenario*>& batch) const {
     struct Episode {
         const Scenario* scenario;
@@ -180,9 +180,14 @@ std::vector<EpisodeResult> ExperimentHarness::run(
     for (auto& err : errors) {
         if (err) std::rethrow_exception(err);
     }
-    std::vector<EpisodeResult> results;
-    results.reserve(slots.size());
-    for (auto& slot : slots) results.push_back(std::move(*slot));
+    std::vector<std::vector<EpisodeResult>> results;
+    results.reserve(batch.size());
+    auto slot = slots.begin();
+    for (const Scenario* s : batch) {
+        auto& out = results.emplace_back();
+        out.reserve(s->arms.size());
+        for (std::size_t a = 0; a < s->arms.size(); ++a) out.push_back(std::move(**slot++));
+    }
     return results;
 }
 

@@ -46,8 +46,8 @@ struct HarnessConfig {
     /// function of the episode's identity -- byte-identical across --jobs
     /// counts. Off by default: disabled runs carry no recorder at all.
     bool telemetry = false;
-    /// Tuning for per-episode recorders (sample cadence, ring capacity);
-    /// only consulted when `telemetry` is on.
+    /// Tuning for per-episode recorders (ring capacity); only consulted
+    /// when `telemetry` is on.
     telemetry::RecorderOptions telemetry_options = {};
     /// Record every serving/fleet episode's request timeline as a compact
     /// binary trace at <trace_dir>/<scenario>/<NN>_<arm>.ltrc (NN = arm
@@ -104,10 +104,10 @@ public:
     /// Run every arm of one scenario; results in arm order.
     [[nodiscard]] std::vector<EpisodeResult> run(const Scenario& scenario) const;
 
-    /// Run a batch of scenarios concurrently; results in (scenario, arm)
-    /// declaration order. Episodes from different scenarios interleave
-    /// freely across the pool.
-    [[nodiscard]] std::vector<EpisodeResult> run(
+    /// Run a batch of scenarios concurrently; one result vector per
+    /// scenario, in batch order, each in arm order. Episodes from different
+    /// scenarios interleave freely across the pool.
+    [[nodiscard]] std::vector<std::vector<EpisodeResult>> run(
         const std::vector<const Scenario*>& batch) const;
 
     [[nodiscard]] const HarnessConfig& config() const noexcept { return config_; }

@@ -1,43 +1,13 @@
 #pragma once
-// Exploration schedules.
-//
-// * LinearDecay / ExponentialDecay: conventional epsilon-greedy schedules
-//   (used for the main exploration of both zTT and LOTUS).
-// * SinusoidalTriggerDecay: the paper's epsilon_t-greedy cool-down
-//   (Sec. 4.3.5). epsilon_t starts in [0, 1] and decays sinusoidally *per
-//   cool-down trigger*, so the agent is forced into random lower frequencies
-//   when overheated early in training but gradually takes over hot-state
-//   action selection as it accumulates experience.
+// Exploration schedule: SinusoidalTriggerDecay, the paper's epsilon_t-greedy
+// cool-down (Sec. 4.3.5). epsilon_t starts in [0, 1] and decays sinusoidally
+// *per cool-down trigger*, so the agent is forced into random lower
+// frequencies when overheated early in training but gradually takes over
+// hot-state action selection as it accumulates experience.
 
 #include <cstddef>
 
 namespace lotus::rl {
-
-/// epsilon(t) = max(end, start - (start - end) * t / steps).
-class LinearDecay {
-public:
-    LinearDecay(double start, double end, std::size_t steps);
-
-    [[nodiscard]] double at(std::size_t step) const noexcept;
-
-private:
-    double start_;
-    double end_;
-    std::size_t steps_;
-};
-
-/// epsilon(t) = end + (start - end) * rate^t.
-class ExponentialDecay {
-public:
-    ExponentialDecay(double start, double end, double rate);
-
-    [[nodiscard]] double at(std::size_t step) const noexcept;
-
-private:
-    double start_;
-    double end_;
-    double rate_;
-};
 
 /// epsilon_t = floor + (eps0 - floor) * cos(pi/2 * min(k, K) / K), where k is
 /// the number of cool-down triggers so far. value() reads the current

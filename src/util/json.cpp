@@ -16,11 +16,6 @@ namespace {
 
 } // namespace
 
-bool JsonValue::as_bool() const {
-    if (type_ != Type::boolean) type_error("boolean", type_);
-    return bool_;
-}
-
 double JsonValue::as_number() const {
     if (type_ != Type::number) type_error("number", type_);
     return number_;
@@ -118,18 +113,11 @@ private:
                 v.string_ = parse_string();
                 return v;
             }
-            case 't': {
-                expect_literal("true");
-                JsonValue v;
-                v.type_ = JsonValue::Type::boolean;
-                v.bool_ = true;
-                return v;
-            }
+            case 't':
             case 'f': {
-                expect_literal("false");
+                expect_literal(peek() == 't' ? "true" : "false");
                 JsonValue v;
                 v.type_ = JsonValue::Type::boolean;
-                v.bool_ = false;
                 return v;
             }
             case 'n': {

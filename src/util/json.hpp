@@ -35,7 +35,6 @@ public:
     [[nodiscard]] bool is_object() const noexcept { return type_ == Type::object; }
 
     /// Typed accessors throw std::runtime_error on a type mismatch.
-    [[nodiscard]] bool as_bool() const;
     [[nodiscard]] double as_number() const;
     [[nodiscard]] const std::string& as_string() const;
     [[nodiscard]] const std::vector<JsonValue>& items() const;
@@ -53,7 +52,6 @@ private:
     friend class JsonParser;
 
     Type type_ = Type::null;
-    bool bool_ = false;
     double number_ = 0.0;
     std::string string_;
     std::vector<JsonValue> items_;

@@ -52,12 +52,9 @@ inline Table digests(const std::vector<const Scenario*>& batch) {
     const ExperimentHarness harness(cfg);
     const auto results = harness.run(batch);
     Table actual;
-    auto first = results.begin();
-    for (const auto* scenario : batch) {
-        const auto last = first + static_cast<std::ptrdiff_t>(scenario->arms.size());
-        const auto doc = scenario_json(*scenario, std::vector<EpisodeResult>(first, last));
-        actual.emplace_back(scenario->name, fnv1a(without_build_id(doc)));
-        first = last;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto doc = scenario_json(*batch[i], results[i]);
+        actual.emplace_back(batch[i]->name, fnv1a(without_build_id(doc)));
     }
     return actual;
 }

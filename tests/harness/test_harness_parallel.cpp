@@ -74,14 +74,16 @@ TEST(ExperimentHarness, BatchPreservesDeclarationOrder) {
     const auto a = small_scenario("batch_a", 30);
     const auto b = small_scenario("batch_b", 30);
     const auto results = ExperimentHarness({.jobs = 4, .seed = 3}).run({&a, &b});
-    ASSERT_EQ(results.size(), a.arms.size() + b.arms.size());
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results[0].size(), a.arms.size());
+    ASSERT_EQ(results[1].size(), b.arms.size());
     for (std::size_t i = 0; i < a.arms.size(); ++i) {
-        EXPECT_EQ(results[i].scenario, "batch_a");
-        EXPECT_EQ(results[i].arm, a.arms[i].name);
+        EXPECT_EQ(results[0][i].scenario, "batch_a");
+        EXPECT_EQ(results[0][i].arm, a.arms[i].name);
     }
     for (std::size_t i = 0; i < b.arms.size(); ++i) {
-        EXPECT_EQ(results[a.arms.size() + i].scenario, "batch_b");
-        EXPECT_EQ(results[a.arms.size() + i].arm, b.arms[i].name);
+        EXPECT_EQ(results[1][i].scenario, "batch_b");
+        EXPECT_EQ(results[1][i].arm, b.arms[i].name);
     }
 }
 

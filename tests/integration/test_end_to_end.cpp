@@ -234,7 +234,7 @@ TEST(EndToEnd, YoloHasNegligibleVariance) {
     // At fixed frequency the two-stage model's proposal-driven variance must
     // clearly exceed the common OS/scene noise floor that both models share.
     // (Fig. 1's much larger contrast additionally includes thermal cycling;
-    // bench_fig1_motivation reproduces that setting.)
+    // the fig1_* scenarios reproduce that setting.)
     EXPECT_LT(yolo_cv * 1.4, fr_cv);
 }
 

@@ -336,11 +336,11 @@ inline std::vector<std::unique_ptr<harness::ResultSink>> telemetry_and_profile_s
     return sinks;
 }
 
-/// Slice a harness batch result back per scenario and feed each slice
-/// through the sinks the flags select: chart, table or JSON, CSV
-/// directory, then the telemetry and profile sinks.
+/// Feed each scenario's results through the sinks the flags select:
+/// chart, table or JSON, CSV directory, then the telemetry and profile
+/// sinks.
 inline void render_results(const Flags& f, const std::vector<const harness::Scenario*>& batch,
-                           std::vector<harness::EpisodeResult> results) {
+                           const std::vector<std::vector<harness::EpisodeResult>>& results) {
     std::vector<std::unique_ptr<harness::ResultSink>> sinks;
     if (f.chart) sinks.push_back(std::make_unique<harness::AsciiFigureSink>());
     if (f.format == OutputFormat::json) {
@@ -351,14 +351,8 @@ inline void render_results(const Flags& f, const std::vector<const harness::Scen
     if (!f.csv.empty()) sinks.push_back(std::make_unique<harness::CsvSink>(f.csv));
     for (auto& sink : telemetry_and_profile_sinks(f)) sinks.push_back(std::move(sink));
 
-    std::size_t cursor = 0;
-    for (const auto* s : batch) {
-        const std::vector<harness::EpisodeResult> slice(
-            std::make_move_iterator(results.begin() + static_cast<std::ptrdiff_t>(cursor)),
-            std::make_move_iterator(results.begin() +
-                                    static_cast<std::ptrdiff_t>(cursor + s->arms.size())));
-        cursor += s->arms.size();
-        for (const auto& sink : sinks) sink->consume(*s, slice);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        for (const auto& sink : sinks) sink->consume(*batch[i], results[i]);
         if (f.format == OutputFormat::table) std::printf("\n");
     }
 }

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Behaviour fingerprint of the four simulator CLIs.
+"""Behaviour fingerprint of the simulator CLIs and the paper driver.
 
 Runs a fixed list of lotus_run / lotus_serve / lotus_sweep / lotus_trace
-invocations in fast mode (LOTUS_BENCH_FAST=1) inside one scratch
-directory, and digests, per invocation, its exit code, stdout, stderr and
-every file it wrote. The digests are pinned in PINNED below, so a front-end
-refactor that changes any output byte, exit code or error message fails
-this gate and names the invocation.
+invocations, plus bench_paper (every figure and table of the paper), in
+fast mode (LOTUS_BENCH_FAST=1) inside one scratch directory, and digests,
+per invocation, its exit code, stdout, stderr and every file it wrote.
+The digests are pinned in PINNED below, so a front-end refactor that
+changes any output byte, exit code or error message fails this gate and
+names the invocation.
 
 The fingerprint is host-independent:
   * every invocation whose status line prints a job count passes --jobs;
@@ -143,6 +144,9 @@ RUNS = [
       "--arrival", "burst", "--burst", "2", "--jobs", "1"], []),
     ("err_trace_flags_the_verb_ignores", "lotus_trace",
      ["info", "synth.ltrc", "--limit", "3", "--streams", "7", "--rate", "9"], []),
+    # --- the paper's figures and tables, byte-identical to the ten
+    # per-figure binaries it replaced, run in order and concatenated
+    ("bench_paper", "bench_paper", [], []),
 ]
 
 PINNED = {
@@ -201,6 +205,7 @@ PINNED = {
     "err_trace_missing_file": "012de683a77b5e22",
     "err_sweep_stream_flags_with_trace": "8c2b1bc9053445a8",
     "err_trace_flags_the_verb_ignores": "37200569f43b5b3a",
+    "bench_paper": "b4c8992db98e8e84",
 }
 
 BUILD_JSON = re.compile(rb'"build":"[^"]*"')
@@ -255,7 +260,7 @@ def main():
     ap.add_argument("--workdir")
     args = ap.parse_args()
     bin_dir = os.path.abspath(args.bin_dir)
-    for tool in ("lotus_run", "lotus_serve", "lotus_sweep", "lotus_trace"):
+    for tool in sorted({tool for _, tool, _, _ in RUNS}):
         if not os.access(os.path.join(bin_dir, tool), os.X_OK):
             print(f"cli_fingerprint_gate: no {tool} in {bin_dir}", file=sys.stderr)
             return 2

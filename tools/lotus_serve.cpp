@@ -189,7 +189,8 @@ int run_adhoc(const cli::Flags& f, const Options& opt) {
     auto cfg = cli::harness_config(f);
     cfg.trace_dir = opt.record_trace_dir;
     cfg.replay_dir = opt.replay_trace_dir;
-    cli::render_results(f, {&scenario}, harness::ExperimentHarness(cfg).run(scenario));
+    const std::vector<const harness::Scenario*> batch = {&scenario};
+    cli::render_results(f, batch, harness::ExperimentHarness(cfg).run(batch));
     return 0;
 }
 

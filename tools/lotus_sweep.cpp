@@ -300,7 +300,7 @@ int run_sweep(int argc, char** argv) {
 
     for (std::size_t i = lo; i < hi; ++i) {
         const auto& cell = cells[i];
-        const auto& r = results[i - lo];
+        const auto& r = results[i - lo].front();
         const auto& t = *r.fleet_trace;
         const auto agg = t.aggregate();
         const auto seed_str = std::to_string(r.episode_seed);

@@ -28,7 +28,8 @@
 //  * summary_only_ledgers: same JSON as full row capture, fewer allocated bytes;
 //  * profiler_overhead: timers cost < 2% (or < 50 ms) of serve_fleet_saturation;
 //  * telemetry_overhead: same JSON with recording on, events > 0, cost < 50% (or < 100 ms);
-//  * trace_replay: replay gives the recorded JSON, requests > 0, cost < 50% (or < 100 ms).
+//  * trace_replay: replay gives the recorded JSON, requests > 0, cost < 50% (or < 100 ms);
+//  * fleet_kernel: a 64-device ondemand fleet makes <= 25 device.advance calls per request.
 
 #include <atomic>
 #include <chrono>
@@ -665,6 +666,113 @@ CellResult run_on_off(const OnOffSpec& s) {
     return c;
 }
 
+/// Counts kernel-timer ticks on the way to the wrapped governor.
+class TickCounter final : public governors::Governor {
+public:
+    TickCounter(std::unique_ptr<governors::Governor> inner, std::uint64_t& ticks)
+        : inner_(std::move(inner)), ticks_(ticks) {}
+
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    [[nodiscard]] double tick_interval_s() const override { return inner_->tick_interval_s(); }
+    governors::LevelRequest on_tick(const governors::TickObservation& tick) override {
+        ++ticks_;
+        return inner_->on_tick(tick);
+    }
+
+private:
+    std::unique_ptr<governors::Governor> inner_;
+    std::uint64_t& ticks_;
+};
+
+/// The non-learning fleet where the sim kernel sets the pace: 64 Orins
+/// behind least_queue, 128 phase-staggered Poisson KITTI streams at 0.5
+/// req/s, one ondemand kernel governor per device (the shape of `lotus_serve
+/// --devices 64 --streams 128 --rate 0.5 --router least_queue --governor
+/// ondemand`). The counters are deterministic and gated exactly against
+/// the baseline; lazy idling keeps device.advance calls per request flat in
+/// the pool size, so the cell fails above 25.
+CellResult fleet_kernel_cell(std::size_t requests_per_stream) {
+    constexpr std::size_t kDevices = 64;
+    constexpr std::size_t kStreams = 2 * kDevices;
+    constexpr double kRateHz = 0.5;
+    constexpr double kMaxAdvancePerRequest = 25.0;
+    const auto spec = platform::orin_nano_spec();
+    const double constraint = workload::latency_constraint_s(
+        spec.name, detector::DetectorKind::faster_rcnn, "KITTI");
+    fleet::FleetConfig cfg;
+    for (std::size_t d = 0; d < kDevices; ++d) {
+        cfg.devices.push_back(fleet::make_device("orin" + std::to_string(d), spec));
+    }
+    cfg.scheduler = "edf";
+    cfg.router = "least_queue";
+    cfg.capture_rows = false;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        serving::StreamSpec st;
+        st.name = "stream" + std::to_string(i);
+        st.dataset = "KITTI";
+        st.slo_s = 2.0 * constraint;
+        st.requests = requests_per_stream;
+        st.arrival.kind = serving::ArrivalKind::poisson;
+        st.arrival.rate_hz = kRateHz;
+        st.arrival.phase_s = static_cast<double>(i) / (kRateHz * static_cast<double>(kStreams));
+        cfg.streams.push_back(std::move(st));
+    }
+    std::uint64_t ticks = 0; // FleetEngine::run is single-threaded
+    const fleet::FleetEngine::GovernorFactory make_governor =
+        [&ticks](const platform::DeviceSpec&,
+                 std::uint64_t) -> std::unique_ptr<governors::Governor> {
+        return std::make_unique<TickCounter>(
+            std::make_unique<governors::KernelGovernor>("ondemand+simple_ondemand",
+                                                        governors::CpuPolicyKind::ondemand,
+                                                        governors::SimpleOndemandParams{}),
+            ticks);
+    };
+
+    const fleet::FleetEngine engine(cfg);
+    const bool was_enabled = prof::enabled();
+    prof::set_enabled(true); // device.advance counts calls only while timed
+    prof::reset();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto trace = engine.run(make_governor, 1);
+    const double wall = seconds_since(t0);
+    const auto report = prof::capture();
+    prof::set_enabled(was_enabled);
+    prof::reset();
+
+    std::uint64_t advances = 0;
+    for (const auto& r : report.regions) {
+        if (r.name == "device.advance") advances += r.calls;
+    }
+    std::uint64_t segments = 0;
+    for (const auto& c : report.counters) {
+        if (c.name == "device.thermal_segments") segments += c.value;
+    }
+    const std::uint64_t requests = trace.aggregate().requests;
+    const double per_request =
+        static_cast<double>(advances) / static_cast<double>(std::max<std::uint64_t>(requests, 1));
+
+    CellResult c;
+    if (prof::kCompiled && per_request > kMaxAdvancePerRequest) {
+        c.failures.push_back(strf("fleet_kernel: %.1f device.advance calls per request (> %.0f)",
+                                  per_request, kMaxAdvancePerRequest));
+    }
+    util::TextTable table({"fleet (64 x ondemand, least_queue)", "wall (s)", "req/s",
+                           "advance calls", "per request", "thermal segments",
+                           "governor ticks"});
+    table.add_row({std::to_string(requests) + " requests", util::format_double(wall, 3),
+                   util::format_double(static_cast<double>(requests) / std::max(wall, 1e-9), 1),
+                   std::to_string(advances), util::format_double(per_request, 2),
+                   std::to_string(segments), std::to_string(ticks)});
+    c.text = table.render("sim kernel on a non-learning fleet");
+    c.json.num("wall_s", wall)
+        .count("requests", requests)
+        .num("requests_per_sec", static_cast<double>(requests) / std::max(wall, 1e-9))
+        .count("advance_calls", advances)
+        .count("thermal_segments", segments)
+        .count("governor_ticks", ticks);
+    return c;
+}
+
 struct Cell {
     const char* name; ///< key under "cells"
     std::function<CellResult()> run;
@@ -733,6 +841,7 @@ bool perf_trajectory() {
              std::filesystem::remove_all(trace_dir);
              return c;
          }},
+        {"fleet_kernel", [&] { return fleet_kernel_cell(fast ? 25 : 100); }},
     };
 
     bool ok = true;

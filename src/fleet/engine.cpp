@@ -1,10 +1,14 @@
 #include "fleet/engine.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <queue>
 #include <set>
 #include <stdexcept>
 
+#include "fleet/engine_internal.hpp"
 #include "fleet/router.hpp"
 #include "prof/profiler.hpp"
 #include "serving/device_step.hpp"
@@ -77,6 +81,8 @@ struct Worker : serving::DeviceStep {
 
     const FleetDevice* spec;
     std::unique_ptr<governors::Governor> governor;
+    /// End of the last served frame (DeviceView::busy_until_s).
+    double busy_until_s = 0.0;
     std::vector<Staged> inbox;
     std::size_t max_depth = 0;
     std::size_t migrations_out = 0;
@@ -137,24 +143,31 @@ std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
 
 FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                             std::uint64_t governor_seed_root) const {
+    return run_routed(*this, make_governor, governor_seed_root, make_router(config_.router));
+}
+
+FleetTrace run_routed(const FleetEngine& engine,
+                      const FleetEngine::GovernorFactory& make_governor,
+                      std::uint64_t governor_seed_root, std::unique_ptr<Router> router) {
     LOTUS_PROF_SCOPE("fleet.run");
-    const auto model = detector::make_detector(config_.detector);
+    const FleetConfig& cfg = engine.config();
+    const auto model = detector::make_detector(cfg.detector);
 
     // --- build the pool -----------------------------------------------------
     std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(config_.devices.size());
-    for (std::size_t i = 0; i < config_.devices.size(); ++i) {
-        const auto& slot = config_.devices[i];
+    workers.reserve(cfg.devices.size());
+    for (std::size_t i = 0; i < cfg.devices.size(); ++i) {
+        const auto& slot = cfg.devices[i];
         workers.push_back(std::make_unique<Worker>(
-            slot, config_.ambient_celsius, config_.engine,
-            make_governor(slot.spec, governor_seed(governor_seed_root, i)),
-            config_.scheduler));
+            slot, cfg.ambient_celsius, cfg.engine,
+            make_governor(slot.spec, engine.governor_seed(governor_seed_root, i)),
+            cfg.scheduler));
     }
 
     const auto slot_pretrain_constraint = [&](const FleetDevice& slot) {
         if (slot.pretrain_constraint_s > 0.0) return slot.pretrain_constraint_s;
-        if (config_.pretrain_constraint_s > 0.0) return config_.pretrain_constraint_s;
-        return config_.streams.front().slo_s;
+        if (cfg.pretrain_constraint_s > 0.0) return cfg.pretrain_constraint_s;
+        return cfg.streams.front().slo_s;
     };
 
     // Per-device warm-up (unrecorded; the device id namespaces the frame
@@ -164,41 +177,72 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     // single-frame constraint (per-device in heterogeneous pools).
     for (auto& w : workers) {
         const double constraint = slot_pretrain_constraint(*w->spec);
-        w->warm_up(model, *w->governor, config_.seed, w->spec->id,
-                   config_.streams.front().dataset, config_.pretrain_iterations, constraint);
+        w->warm_up(model, *w->governor, cfg.seed, w->spec->id,
+                   cfg.streams.front().dataset, cfg.pretrain_iterations, constraint);
         w->expected_service_s = constraint;
     }
 
-    const auto requests = build_requests();
+    const auto requests = engine.build_requests();
 
     std::vector<std::string> device_names;
-    for (const auto& d : config_.devices) device_names.push_back(d.id);
+    for (const auto& d : cfg.devices) device_names.push_back(d.id);
     std::vector<std::string> stream_names;
-    for (const auto& s : config_.streams) stream_names.push_back(s.name);
-    FleetTrace trace(std::move(device_names), std::move(stream_names),
-                     config_.capture_rows);
+    for (const auto& s : cfg.streams) stream_names.push_back(s.name);
+    FleetTrace trace(std::move(device_names), std::move(stream_names), cfg.capture_rows);
     trace.reserve(requests.size());
 
-    auto router = make_router(config_.router);
+    const bool idle_pool_to_arrivals = router->reads_thermal();
 
     // Routing decisions live on the "fleet"/"router" track (created first);
     // request spans on their stream tracks; per-device events on the
     // device's own tracks.
     auto* tel = telemetry::current();
     const int tel_router = tel ? tel->track("fleet", "router") : -1;
-    const serving::StepContext ctx(model, config_.streams);
+    const serving::StepContext ctx(model, cfg.streams);
     const auto note_depth = [&](std::size_t index, double t) {
         workers[index]->note_depth(ctx, t, workers[index]->pending());
     };
 
-    const auto make_views = [&](double now, std::size_t exclude) {
-        std::vector<DeviceView> views;
-        views.reserve(workers.size());
+    // --- dispatcher bookkeeping ---------------------------------------------
+    // Requests routed but not yet served or shed, over the whole pool.
+    std::size_t pending_total = 0;
+    // Event heap of (next event instant, device index), earliest first with
+    // the device index breaking ties. Entries go stale when a worker's next
+    // event moves; `event_key[i]` is the instant of worker i's live entry
+    // (+infinity: none), and a popped entry that does not match it is skipped.
+    using Event = std::pair<double, std::size_t>;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    std::vector<double> event_key(workers.size(), kInf);
+    const auto reschedule = [&](std::size_t index) {
+        const double t = workers[index]->next_event_s();
+        if (t == event_key[index]) return;
+        event_key[index] = t;
+        if (t < kInf) events.emplace(t, index);
+    };
+    const auto next_event = [&] {
+        while (!events.empty() && events.top().first != event_key[events.top().second]) {
+            events.pop();
+        }
+        return events.empty() ? Event{kInf, Router::npos} : events.top();
+    };
+    // Only devices with a finite failure instant ever fail over.
+    std::vector<std::size_t> mortal;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+        if (workers[i]->spec->fail_at_s < kInf) mortal.push_back(i);
+    }
+    std::vector<DeviceView> views(workers.size());
+
+    /// Route one request at `now`; excluded device (migration source /
+    /// failed device) cannot be picked. Dispatcher-level shed when no live
+    /// device remains.
+    const auto route_request = [&](serving::Request req, double now, std::size_t exclude) {
+        LOTUS_PROF_SCOPE("fleet.route");
+        LOTUS_PROF_COUNT("fleet.routed", 1);
         for (std::size_t i = 0; i < workers.size(); ++i) {
             const auto& w = *workers[i];
-            DeviceView v;
+            auto& v = views[i];
             v.index = i;
-            v.now_s = w.device.now();
+            v.busy_until_s = w.busy_until_s;
             v.cpu_temp_c = w.device.cpu_temp();
             v.gpu_temp_c = w.device.gpu_temp();
             v.headroom_c = std::min(
@@ -207,21 +251,10 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             v.throttled = w.device.throttled();
             v.queue_depth = w.pending();
             v.expected_service_s = w.expected_service_s;
-            v.backlog_s = std::max(0.0, v.now_s - now) +
+            v.backlog_s = std::max(0.0, v.busy_until_s - now) +
                           static_cast<double>(v.queue_depth) * v.expected_service_s;
             v.available = i != exclude && w.alive(now);
-            views.push_back(v);
         }
-        return views;
-    };
-
-    /// Route one request at `now`; excluded device (migration source /
-    /// failed device) cannot be picked. Dispatcher-level shed when no live
-    /// device remains.
-    const auto route_request = [&](serving::Request req, double now, std::size_t exclude) {
-        LOTUS_PROF_SCOPE("fleet.route");
-        LOTUS_PROF_COUNT("fleet.routed", 1);
-        const auto views = make_views(now, exclude);
         const auto idx = router->route(views, req, now);
         if (idx == Router::npos) {
             trace.add(FleetRecord{ctx.shed(req, now, nullptr, tel_router),
@@ -232,14 +265,16 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             tel->instant(tel_router, "route", now,
                          "\"request_id\":" + std::to_string(req.id) +
                              ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
+                             telemetry::jstr(cfg.streams[req.stream].name) +
                              ",\"device\":" + telemetry::jstr(workers[idx]->spec->id) +
                              ",\"rerouted\":" + (req.migrated ? "true" : "false"));
         }
         auto& w = *workers[idx];
         w.inbox.push_back(Staged{std::move(req), now});
+        ++pending_total;
         w.max_depth = std::max(w.max_depth, w.pending());
         note_depth(idx, now);
+        reschedule(idx);
     };
 
     /// Pull every queued/staged request off `w` and re-route it across the
@@ -250,6 +285,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         while (!w.queue.empty()) displaced.push_back(w.queue.take(0));
         for (auto& s : w.inbox) displaced.push_back(std::move(s.request));
         w.inbox.clear();
+        pending_total -= displaced.size();
+        reschedule(index);
         // Deterministic order: global arrival order, like the dispatcher's
         // own timeline.
         std::sort(displaced.begin(), displaced.end(),
@@ -283,16 +320,20 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         migrate_off(index, t_fail);
     };
 
+    /// Idle (and cool, with kernel governors ticking) `w` up to `t`.
+    const auto idle_to = [](Worker& w, double t) {
+        if (w.device.now() + kTimeEps < t) {
+            w.engine.run_idle(t - w.device.now(), *w.governor);
+            w.observe_peak();
+        }
+    };
+
     /// Serve one scheduling step on `w`: idle up to the event instant, move
     /// ready staged requests into the scheduler-visible queue, pick, run.
     const auto dispatch_one = [&](std::size_t index) {
         LOTUS_PROF_SCOPE("fleet.dispatch");
         auto& w = *workers[index];
-        const double target = w.next_event_s();
-        if (w.device.now() + kTimeEps < target) {
-            w.engine.run_idle(std::max(target - w.device.now(), kTimeEps), *w.governor);
-            w.observe_peak();
-        }
+        idle_to(w, w.next_event_s());
         const double now = w.device.now();
         for (std::size_t i = 0; i < w.inbox.size();) {
             if (w.inbox[i].ready_s <= now + kTimeEps) {
@@ -304,6 +345,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
 
         auto decision = w.pick(now);
+        pending_total -= decision.shed.size() + (decision.next ? 1 : 0);
         for (const auto& r : decision.shed) {
             trace.add(FleetRecord{w.shed(ctx, r, now), index, r.migrated});
         }
@@ -311,63 +353,50 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         if (!decision.next) return;
 
         const auto row = w.serve(ctx, *decision.next, now, *w.governor);
+        w.busy_until_s = w.device.now();
         w.observe_peak();
         trace.add(FleetRecord{row, index, decision.next->migrated});
-        if (config_.migrate_on_throttle && row.throttled && w.pending() > 0) {
+        if (cfg.migrate_on_throttle && row.throttled && w.pending() > 0) {
             migrate_off(index, w.device.now());
         }
     };
 
     // --- the dispatcher loop ------------------------------------------------
     std::size_t next_arrival = 0;
-    const auto any_pending = [&] {
-        for (const auto& w : workers) {
-            if (w->pending() > 0) return true;
-        }
-        return false;
-    };
-
-    while (next_arrival < requests.size() || any_pending()) {
+    while (next_arrival < requests.size() || pending_total > 0) {
         const double t_arr =
             next_arrival < requests.size() ? requests[next_arrival].arrival_s : kInf;
 
         // Earliest per-device event (dispatch or failure drain); device
-        // index breaks ties.
-        std::size_t best = Router::npos;
-        double t_evt = kInf;
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            const double t = workers[i]->next_event_s();
-            if (t < t_evt) {
-                t_evt = t;
-                best = i;
-            }
-        }
-
-        // Arrivals at time t are routed before dispatches at time t, the
-        // same boundary rule the single-device engine applies.
+        // index breaks ties. Arrivals at time t are routed before dispatches
+        // at time t, the same boundary rule the single-device engine applies.
+        const auto [t_evt, best] = next_event();
         if (best != Router::npos && t_evt + kTimeEps < t_arr) {
+            events.pop();
+            event_key[best] = kInf;
             auto& w = *workers[best];
             if (!w.alive(std::max(t_evt, w.device.now()))) {
                 fail_over(best);
             } else {
                 dispatch_one(best);
             }
+            reschedule(best);
             continue;
         }
 
-        // Route the next arrival. Idle (and cool) every live, empty device
-        // up to the routing instant first, so the router reads pool
-        // temperatures evaluated at this arrival.
+        // Route the next arrival. A router that reads temperatures sees the
+        // pool evaluated at this instant: every live, empty device idles
+        // (and cools) up to it first.
         serving::Request req = requests[next_arrival++];
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            auto& w = *workers[i];
-            if (w.pending() == 0 && w.alive(t_arr) &&
-                w.device.now() + kTimeEps < t_arr) {
-                w.engine.run_idle(t_arr - w.device.now(), *w.governor);
-                w.observe_peak();
+        if (idle_pool_to_arrivals) {
+            for (auto& w : workers) {
+                if (w->pending() == 0 && w->alive(t_arr)) idle_to(*w, t_arr);
             }
-            // A device whose failure instant has passed gives up its queue
-            // the moment the dispatcher acts at or after that instant.
+        }
+        // A device whose failure instant has passed gives up its queue the
+        // moment the dispatcher acts at or after that instant.
+        for (const std::size_t i : mortal) {
+            const auto& w = *workers[i];
             if (!w.drained && !w.alive(t_arr) && w.pending() > 0) fail_over(i);
         }
         ctx.arrive(req);
@@ -375,6 +404,15 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     }
 
     // --- close out ----------------------------------------------------------
+    // Every device ends no earlier than the last arrival it was alive for,
+    // as if it had idled through every routing instant: a device failed
+    // before the end idles up to the last arrival before its failure.
+    for (auto& w : workers) {
+        const auto alive_until = std::lower_bound(
+            requests.begin(), requests.end(), w->spec->fail_at_s,
+            [](const serving::Request& r, double t) { return r.arrival_s < t; });
+        if (alive_until != requests.begin()) idle_to(*w, std::prev(alive_until)->arrival_s);
+    }
     double makespan = 0.0;
     for (const auto& w : workers) makespan = std::max(makespan, w->device.now());
     for (std::size_t i = 0; i < workers.size(); ++i) {

@@ -10,19 +10,27 @@
 // governor instance (per-device LOTUS agents; governor seeds are
 // device-id-namespaced via util::derive_seed so identical twins diverge).
 //
-// Time model: each device owns its local clock (the PR 3 single-advance
+// Time model: each device owns its local clock (the single-advance
 // authority, EdgeDevice::advance); the dispatcher interleaves per-device
-// progress in global event order. Events are processed earliest-first with
-// deterministic tie-breaks:
+// progress in global event order. Events come off a heap keyed by (instant,
+// device index), earliest first, with deterministic tie-breaks:
 //
 //  * an arrival at time t is routed before any dispatch at time t (the
 //    same rule the single-device engine applies when it pulls arrivals
 //    into the queue before scheduling);
-//  * dispatches tie-break on the device index;
-//  * a device whose queue is empty idles -- and cools, with kernel
-//    governors ticking -- up to the next routing instant, so the router
-//    always reads pool temperatures evaluated at the arrival it is
-//    placing.
+//  * dispatches tie-break on the device index.
+//
+// An idle device advances lazily. It idles -- and cools, with kernel
+// governors ticking -- up to an instant only when something needs its
+// state there: a dispatch (the device first idles up to the event
+// instant), a failure drain, or the close-out, where every device idles up
+// to the last arrival it was alive for. Only a router that reads
+// temperatures (Router::reads_thermal: thermal_aware, lotus_fleet) makes
+// every live, empty device idle up to each routing instant, so it reads
+// pool temperatures evaluated at the arrival it is placing. How idle time
+// is chunked moves thermal state at the ulp level only; routing does not
+// depend on it, because the router reads the end of each device's last
+// served frame (DeviceView::busy_until_s), never its idle clock.
 //
 // A device past its FleetDevice::fail_at_s is withdrawn: it takes no new
 // routes and its still-queued requests are re-routed to the survivors

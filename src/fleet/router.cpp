@@ -7,21 +7,24 @@ namespace lotus::fleet {
 
 namespace {
 
-/// Argmin over available devices of a score functor; ties break on the
-/// device index (scan order), so routing is a pure function of the views.
+/// Argmin over available devices of a score functor. Ties break on the
+/// earliest busy_until_s -- the device idle longest, so equal backlogs
+/// spread across the pool instead of piling onto device 0 -- and then on
+/// the device index (scan order). Routing is a pure function of the views.
 template <typename Score>
 std::size_t pick_min(const std::vector<DeviceView>& views, Score&& score) {
-    std::size_t best = Router::npos;
+    const DeviceView* best = nullptr;
     double best_score = 0.0;
     for (const auto& v : views) {
         if (!v.available) continue;
         const double s = score(v);
-        if (best == Router::npos || s < best_score) {
-            best = v.index;
+        if (best == nullptr || s < best_score ||
+            (s == best_score && v.busy_until_s < best->busy_until_s)) {
+            best = &v;
             best_score = s;
         }
     }
-    return best;
+    return best == nullptr ? Router::npos : best->index;
 }
 
 } // namespace

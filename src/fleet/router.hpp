@@ -2,9 +2,10 @@
 // Routing policies: which device of the pool serves the next request.
 //
 // The router is the fleet-level control knob, the placement analogue of the
-// per-device DVFS governor. It sees a snapshot of every device -- local
-// clock, temperatures, headroom to the throttle trip, queue depth and the
-// governor-informed service-time estimate -- and picks one. Four built-ins:
+// per-device DVFS governor. It sees a snapshot of every device -- when its
+// last frame ends, temperatures, headroom to the throttle trip, queue depth
+// and the governor-informed service-time estimate -- and picks one. Four
+// built-ins:
 //
 //  * round_robin   -- rotate through the pool; the placement baseline every
 //                     load balancer starts at. Blind to queues and heat.
@@ -25,8 +26,12 @@
 //                     signals the per-device agents act on.
 //
 // Every policy is a deterministic pure function of (its own state, the
-// views, the request): ties break on the device index, so a fleet run
-// replays byte-identically at any --jobs count.
+// views, the request), so a fleet run replays byte-identically at any
+// --jobs count. The scoring policies break score ties on the earliest
+// busy_until_s (the device that has been idle longest), then on the device
+// index. Only thermal_aware and lotus_fleet read temperatures
+// (Router::reads_thermal); the engine idles the pool to each routing instant
+// for them alone.
 
 #include <cstddef>
 #include <memory>
@@ -40,9 +45,12 @@ namespace lotus::fleet {
 /// Dispatcher-visible snapshot of one device at a routing instant.
 struct DeviceView {
     std::size_t index = 0;
-    /// Device-local simulated clock [s]; ahead of the routing instant when
-    /// the device is busy working through its queue.
-    double now_s = 0.0;
+    /// End of the device's last served frame [s]; ahead of the routing
+    /// instant while that frame runs. Idle time never moves it, so it does
+    /// not depend on how (or whether) the engine advanced an idle device.
+    double busy_until_s = 0.0;
+    /// Temperatures evaluated at the routing instant when the router
+    /// reads_thermal(); otherwise as of the device's last advance.
     double cpu_temp_c = 0.0;
     double gpu_temp_c = 0.0;
     /// min over domains of (throttle trip - current temperature) [K];
@@ -55,8 +63,8 @@ struct DeviceView {
     /// recent execution latencies, seeded with its calibrated single-frame
     /// pace before the first completion.
     double expected_service_s = 0.0;
-    /// Estimated seconds of work in front of a newly routed request: busy
-    /// remainder past the routing instant plus queue_depth * expected
+    /// Estimated seconds of work in front of a newly routed request:
+    /// max(0, busy_until_s - routing instant) + queue_depth * expected
     /// service.
     double backlog_s = 0.0;
     /// False when the device must not be picked (failed / held out, or the
@@ -69,6 +77,12 @@ public:
     virtual ~Router() = default;
 
     [[nodiscard]] virtual std::string name() const = 0;
+
+    /// True when the policy reads temperatures, headroom or the throttle
+    /// flag. The engine then idles every live, empty device up to each
+    /// routing instant so those fields are current; otherwise an idle device
+    /// advances only when it is dispatched, fails over or the run closes.
+    [[nodiscard]] virtual bool reads_thermal() const = 0;
 
     /// Pick the device that serves `request`, routed at simulated time
     /// `now_s`. Views cover the whole pool in index order; unavailable
@@ -84,6 +98,7 @@ public:
 class RoundRobinRouter final : public Router {
 public:
     [[nodiscard]] std::string name() const override { return "round_robin"; }
+    [[nodiscard]] bool reads_thermal() const override { return false; }
     [[nodiscard]] std::size_t route(const std::vector<DeviceView>& views,
                                     const serving::Request& request,
                                     double now_s) override;
@@ -95,6 +110,7 @@ private:
 class LeastQueueRouter final : public Router {
 public:
     [[nodiscard]] std::string name() const override { return "least_queue"; }
+    [[nodiscard]] bool reads_thermal() const override { return false; }
     [[nodiscard]] std::size_t route(const std::vector<DeviceView>& views,
                                     const serving::Request& request,
                                     double now_s) override;
@@ -109,6 +125,7 @@ public:
         : backlog_weight_(backlog_weight_c_per_s) {}
 
     [[nodiscard]] std::string name() const override { return "thermal_aware"; }
+    [[nodiscard]] bool reads_thermal() const override { return true; }
     [[nodiscard]] std::size_t route(const std::vector<DeviceView>& views,
                                     const serving::Request& request,
                                     double now_s) override;
@@ -126,6 +143,7 @@ public:
         : soft_margin_(soft_margin_c), penalty_per_c_(penalty_s_per_c) {}
 
     [[nodiscard]] std::string name() const override { return "lotus_fleet"; }
+    [[nodiscard]] bool reads_thermal() const override { return true; }
     [[nodiscard]] std::size_t route(const std::vector<DeviceView>& views,
                                     const serving::Request& request,
                                     double now_s) override;

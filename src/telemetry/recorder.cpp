@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "util/build_info.hpp"
 #include "util/csv.hpp"
@@ -202,14 +202,17 @@ void Recorder::breach(int track, std::string reason, std::uint64_t request_id, d
 }
 
 std::vector<std::size_t> Recorder::time_order() const {
-    std::vector<std::size_t> order(log_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    // Stable: ties keep append order, so the export is deterministic AND
-    // monotonic even for events recorded after the clock passed them
-    // (arrivals noticed at the next dispatch instant).
-    std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-        return log_[a].t_s < log_[b].t_s;
-    });
+    // Sorted on (time, append index): ties keep append order, so the export
+    // is deterministic AND monotonic even for events recorded after the
+    // clock passed them (arrivals noticed at the next dispatch instant; a
+    // fleet device idled lazily emits its idle span in one burst). The keys
+    // sit in one contiguous array, so an out-of-order log sorts without
+    // chasing every comparison into the event log.
+    std::vector<std::pair<double, std::size_t>> keyed(log_.size());
+    for (std::size_t i = 0; i < log_.size(); ++i) keyed[i] = {log_[i].t_s, i};
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<std::size_t> order(keyed.size());
+    for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
     return order;
 }
 

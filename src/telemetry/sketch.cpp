@@ -107,7 +107,11 @@ std::string HistSketch::json() const {
     for (const auto& [index, count] : buckets_) {
         if (!first) out += ",";
         first = false;
-        out += "[" + std::to_string(index) + "," + std::to_string(count) + "]";
+        out += '[';
+        out += std::to_string(index);
+        out += ',';
+        out += std::to_string(count);
+        out += ']';
     }
     out += "]}";
     return out;

@@ -1,6 +1,7 @@
 // Router policy unit tests: every policy is a deterministic pure function
-// of (router state, views, request), ties break on the device index, and
-// the thermally-informed policies actually route away from hot dies.
+// of (router state, views, request), score ties break on the earliest
+// busy_until_s and then on the device index, and the thermally-informed
+// policies actually route away from hot dies.
 
 #include <gtest/gtest.h>
 
@@ -70,6 +71,40 @@ TEST(LeastQueueRouter, TiesBreakOnIndex) {
     const std::vector<DeviceView> views = {view(0, 20, 2), view(1, 20, 2), view(2, 20, 2)};
     EXPECT_EQ(router.route(views, request(), 0.0), 0u);
     EXPECT_EQ(router.route(views, request(), 0.0), 0u); // stateless: same answer
+}
+
+TEST(LeastQueueRouter, TiesBreakOnEarliestBusyUntilThenIndex) {
+    LeastQueueRouter router;
+    // Equal backlogs: the device whose last frame ended first (idle longest)
+    // wins, whatever its index.
+    std::vector<DeviceView> views = {view(0, 20, 0), view(1, 20, 0), view(2, 20, 0)};
+    views[0].busy_until_s = 4.0;
+    views[1].busy_until_s = 2.5;
+    views[2].busy_until_s = 3.0;
+    EXPECT_EQ(router.route(views, request(), 5.0), 1u);
+    // Equal busy_until_s too: the lower index wins.
+    views[2].busy_until_s = 2.5;
+    EXPECT_EQ(router.route(views, request(), 5.0), 1u);
+    // busy_until_s only breaks ties; a smaller backlog still wins.
+    views[0] = view(0, 20, 0);
+    views[0].busy_until_s = 4.0;
+    views[1] = view(1, 20, 1);
+    views[2] = view(2, 20, 1);
+    EXPECT_EQ(router.route(views, request(), 5.0), 0u);
+    // An unavailable device never wins the tie-break.
+    views = {view(0, 20, 0), view(1, 20, 0)};
+    views[0].busy_until_s = 3.0;
+    views[1].busy_until_s = 1.0;
+    views[1].available = false;
+    EXPECT_EQ(router.route(views, request(), 5.0), 0u);
+}
+
+TEST(LotusFleetRouter, TiesBreakOnEarliestBusyUntil) {
+    LotusFleetRouter router;
+    std::vector<DeviceView> views = {view(0, 30, 1, 0.5), view(1, 30, 1, 0.5)};
+    views[0].busy_until_s = 2.0;
+    views[1].busy_until_s = 1.0;
+    EXPECT_EQ(router.route(views, request(), 3.0), 1u);
 }
 
 TEST(ThermalAwareRouter, RoutesAwayFromTheHotDie) {

@@ -26,10 +26,10 @@ const fingerprint::Table kExpected = {
     {"serve_mixed_slo", 0x8b23b440dafbc80cULL},
     {"serve_diurnal", 0x096b88677f947a51ULL},
     {"serve_latency_attack", 0xac6de95887395003ULL},
-    {"serve_fleet_saturation", 0x95f7c3f34c47d78bULL},
-    {"serve_fleet_hetero", 0x3ee248693278ba6dULL},
-    {"serve_fleet_diurnal_holdout", 0xb6eff1aa9f2b78caULL},
-    {"serve_fleet_burst_migration", 0x7d0424a6ff6f08efULL},
+    {"serve_fleet_saturation", 0x3f9adff7a4fdb5acULL},
+    {"serve_fleet_hetero", 0xaa05bbd7a1979defULL},
+    {"serve_fleet_diurnal_holdout", 0xe509335e4ec91c45ULL},
+    {"serve_fleet_burst_migration", 0x010cf9d079abcb19ULL},
 };
 
 TEST(BehaviourFingerprint, ServeScenariosMatchPinnedDigests) {

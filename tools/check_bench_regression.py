@@ -23,6 +23,11 @@ Even on a pass, every numeric metric of every cell present in both files
 is printed as a current-vs-baseline delta so CI logs show the trend, not
 just the verdict.
 
+The fleet_kernel cell's work counters (requests, advance_calls,
+thermal_segments, governor_ticks) are deterministic: when both files were
+written in the same fast_mode with the profiler compiled in, each must
+equal the baseline's exactly. A change that moves one re-baselines it.
+
 --absolute additionally compares raw requests_per_sec per variant, for
 same-machine trend tracking; do not enable it on shared CI runners.
 
@@ -72,6 +77,30 @@ def throughput_ratio(doc, path):
     if scalar <= 0.0:
         malformed(f"{path} has non-positive scalar requests/sec")
     return requests_per_sec(doc, path, "batched") / scalar
+
+
+# fleet_kernel's deterministic work counters, gated for exact equality.
+FLEET_COUNTERS = ("requests", "advance_calls", "thermal_segments", "governor_ticks")
+
+
+def fleet_counter_failures(cur, base, cur_path, base_path):
+    """fleet_kernel counters that differ from the baseline's."""
+    if cur.get("profiling_compiled") is not True or base.get("profiling_compiled") is not True:
+        print("fleet_kernel counters not compared: profiler compiled out")
+        return []
+    cells = []
+    for doc, path in ((cur, cur_path), (base, base_path)):
+        cell = doc["cells"].get("fleet_kernel")
+        if not isinstance(cell, dict):
+            malformed(f"{path} has no fleet_kernel cell")
+        for key in FLEET_COUNTERS:
+            value = cell.get(key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                malformed(f"{path} fleet_kernel.{key} is not an integer")
+        cells.append(cell)
+    return [f"fleet_kernel.{key} is {cells[0][key]}, baseline {cells[1][key]} "
+            "(deterministic counter; re-baseline if the change is meant)"
+            for key in FLEET_COUNTERS if cells[0][key] != cells[1][key]]
 
 
 def numeric_leaves(node, prefix=""):
@@ -147,6 +176,9 @@ def main():
             failures.append(f"current {cell}.{flag} is not true")
 
     print_cell_deltas(cur, base)
+
+    if cur.get("fast_mode") == base.get("fast_mode"):
+        failures.extend(fleet_counter_failures(cur, base, args.current, args.baseline))
 
     if not failures:
         r_cur = throughput_ratio(cur, args.current)

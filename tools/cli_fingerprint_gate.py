@@ -158,7 +158,7 @@ PINNED = {
     "run_list_scenarios": "3d1516257775511c",
     "run_scenario_serve_light": "87b92e872cea2dc2",
     "serve_adhoc": "fc10875a9b4c94dc",
-    "serve_adhoc_fleet": "3efd6624db18f50e",
+    "serve_adhoc_fleet": "50becb29482700f4",
     "serve_scenario_fleet_resized": "356248cd19a0ad39",
     "serve_list_scenarios": "3128fcceb7133a41",
     "trace_synth": "96d131f2c1d2d379",
@@ -169,8 +169,8 @@ PINNED = {
     "trace_slice_time": "6b656581db4a870e",
     "trace_merge": "767d4df55a8d8fd8",
     "trace_record": "c6bbf5430e041955",
-    "sweep_rate_grid": "5ecadae210fa701a",
-    "sweep_trace_axis": "2c2352640efa19a5",
+    "sweep_rate_grid": "608ad28c6f9b9859",
+    "sweep_trace_axis": "110d0f786aa464fa",
     "err_run_unknown_flag": "caf5c87be25ada73",
     "err_run_missing_value": "17ee40ce7f1341b1",
     "err_run_bad_seed": "08bb033b96bd5353",

@@ -3,8 +3,9 @@
 
 Every input is built from the committed bench/BENCH_overhead.baseline.json
 in a temporary directory: the baseline against itself passes (0), a false
-correctness flag, a 20% throughput-ratio cut and a fast_mode mismatch are
-regressions (1), and malformed documents are rejected (2).
+correctness flag, a 20% throughput-ratio cut, a fast_mode mismatch and a
+fleet_kernel work counter off by one are regressions (1), and malformed
+documents are rejected (2).
 
 Stdlib only. Run directly or through CTest (check_bench_regression_test).
 """
@@ -58,6 +59,34 @@ class CheckBenchRegressionTest(unittest.TestCase):
         doc = self.variant()
         doc["fast_mode"] = not doc["fast_mode"]
         self.assertEqual(self.run_check(doc), 1)
+
+    def test_fleet_counter_off_by_one_fails(self):
+        for key in ("requests", "advance_calls", "thermal_segments", "governor_ticks"):
+            doc = self.variant()
+            doc["cells"]["fleet_kernel"][key] += 1
+            self.assertEqual(self.run_check(doc), 1, key)
+
+    def test_fleet_wall_clock_is_not_gated_exactly(self):
+        doc = self.variant()
+        doc["cells"]["fleet_kernel"]["wall_s"] *= 1.5
+        doc["cells"]["fleet_kernel"]["requests_per_sec"] /= 1.5
+        self.assertEqual(self.run_check(doc), 0)
+
+    def test_fleet_counters_skipped_without_profiler(self):
+        doc = self.variant()
+        doc["profiling_compiled"] = False
+        doc["cells"]["fleet_kernel"]["advance_calls"] = 0
+        self.assertEqual(self.run_check(doc), 0)
+
+    def test_missing_fleet_cell_is_malformed(self):
+        doc = self.variant()
+        del doc["cells"]["fleet_kernel"]
+        self.assertEqual(self.run_check(doc), 2)
+
+    def test_non_integer_fleet_counter_is_malformed(self):
+        doc = self.variant()
+        doc["cells"]["fleet_kernel"]["governor_ticks"] = 1.5
+        self.assertEqual(self.run_check(doc), 2)
 
     def test_non_object_document_is_malformed(self):
         self.assertEqual(self.run_check([1, 2]), 2)

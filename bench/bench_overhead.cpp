@@ -220,10 +220,10 @@ StepperRun run_stepper(const serving::ServingConfig& base, platform::ThermalStep
     cfg.pretrain_iterations = 0; // deterministic baselines need no warm-up
     std::unique_ptr<governors::Governor> governor;
     if (governor_name == "default") {
-        governor = std::make_unique<governors::DefaultGovernor>(
-            governors::DefaultGovernor::orin_nano());
+        governor = std::make_unique<governors::KernelGovernor>(
+            governors::KernelGovernor::orin_nano());
     } else {
-        governor = std::make_unique<governors::PerformanceGovernor>();
+        governor = std::make_unique<governors::FixedGovernor>(SIZE_MAX, SIZE_MAX);
     }
     const serving::ServingEngine engine(cfg);
     auto trace = engine.run(*governor);

@@ -5,18 +5,24 @@
 // * SchedutilPolicy     -- Linux's utilization-driven CPU governor:
 //                          f_next = headroom * util * f_max (EWMA-smoothed,
 //                          fast up / slow down like the kernel's rate limits).
+// * OndemandPolicy / ConservativePolicy -- the classic Linux CPU governors.
 // * SimpleOndemandPolicy-- devfreq's GPU governor: jump to max above the
 //                          up-threshold, proportionally scale down below it.
 //                          With NVIDIA-ish thresholds it doubles for the
 //                          Jetson's nvhost_podgov; with Qualcomm-ish ones it
 //                          approximates msm-adreno-tz (Mi 11 Lite).
-// * DefaultGovernor     -- the paper's "default" baseline: schedutil on the
-//                          CPU + a devfreq policy on the GPU, both running on
-//                          kernel ticks, application-agnostic.
+// * KernelGovernor      -- one CPU policy plus the devfreq GPU policy, both
+//                          on kernel ticks, application-agnostic. With
+//                          schedutil (orin_nano()/mi11_lite()) it is the
+//                          paper's "default" baseline.
 // * FixedGovernor / RandomGovernor -- diagnostics and lower/upper anchors.
+//                          Linux's `performance` and `powersave` are
+//                          FixedGovernor at (SIZE_MAX, SIZE_MAX) and (0, 0):
+//                          it clamps to the ladder.
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "governors/governor.hpp"
 #include "util/rng.hpp"
@@ -73,29 +79,6 @@ private:
     bool initialized_ = false;
 };
 
-/// The paper's "default" baseline: application-agnostic kernel governors for
-/// both domains, acting only on kernel ticks.
-class DefaultGovernor final : public Governor {
-public:
-    DefaultGovernor(std::string label, SchedutilParams cpu_params,
-                    SimpleOndemandParams gpu_params, double tick_interval_s = 0.02);
-
-    /// Jetson Orin Nano default: schedutil + nvhost_podgov-like devfreq.
-    [[nodiscard]] static DefaultGovernor orin_nano();
-    /// Mi 11 Lite default: schedutil + msm-adreno-tz-like devfreq.
-    [[nodiscard]] static DefaultGovernor mi11_lite();
-
-    [[nodiscard]] std::string name() const override { return label_; }
-    [[nodiscard]] double tick_interval_s() const override { return tick_interval_s_; }
-    LevelRequest on_tick(const TickObservation& tick) override;
-
-private:
-    std::string label_;
-    SchedutilPolicy cpu_policy_;
-    SimpleOndemandPolicy gpu_policy_;
-    double tick_interval_s_;
-};
-
 struct OndemandParams {
     /// Busy percentage above which the governor jumps to max frequency.
     double up_threshold = 0.80;
@@ -143,12 +126,19 @@ private:
 /// CPU policy variants selectable for the composite kernel governor.
 enum class CpuPolicyKind { schedutil, ondemand, conservative };
 
-/// Composite kernel governor with a selectable CPU policy and a devfreq GPU
-/// policy -- generalises DefaultGovernor for governor-family studies.
+/// Kernel governor: the selected CPU policy and a devfreq GPU policy, both
+/// acting only on kernel ticks.
 class KernelGovernor final : public Governor {
 public:
     KernelGovernor(std::string label, CpuPolicyKind cpu_kind,
                    SimpleOndemandParams gpu_params, double tick_interval_s = 0.02);
+
+    /// The paper's "default" on the Jetson Orin Nano: schedutil +
+    /// nvhost_podgov-like devfreq.
+    [[nodiscard]] static KernelGovernor orin_nano();
+    /// The paper's "default" on the Mi 11 Lite: schedutil +
+    /// msm-adreno-tz-like devfreq.
+    [[nodiscard]] static KernelGovernor mi11_lite();
 
     [[nodiscard]] std::string name() const override { return label_; }
     [[nodiscard]] double tick_interval_s() const override { return tick_interval_s_; }
@@ -156,10 +146,7 @@ public:
 
 private:
     std::string label_;
-    CpuPolicyKind cpu_kind_;
-    SchedutilPolicy schedutil_;
-    OndemandPolicy ondemand_;
-    ConservativePolicy conservative_;
+    std::variant<SchedutilPolicy, OndemandPolicy, ConservativePolicy> cpu_policy_;
     SimpleOndemandPolicy gpu_policy_;
     double tick_interval_s_;
 };
@@ -187,24 +174,6 @@ public:
 
 private:
     util::Rng rng_;
-};
-
-/// Linux `performance` governor: both domains pinned to the top level.
-class PerformanceGovernor final : public Governor {
-public:
-    [[nodiscard]] std::string name() const override { return "performance"; }
-    LevelRequest on_frame_start(const Observation& obs) override {
-        return LevelRequest::set(obs.cpu_levels - 1, obs.gpu_levels - 1);
-    }
-};
-
-/// Linux `powersave` governor: both domains pinned to the bottom level.
-class PowersaveGovernor final : public Governor {
-public:
-    [[nodiscard]] std::string name() const override { return "powersave"; }
-    LevelRequest on_frame_start(const Observation&) override {
-        return LevelRequest::set(0, 0);
-    }
 };
 
 } // namespace lotus::governors

@@ -1,6 +1,7 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "governors/linux_governors.hpp"
 #include "governors/ztt.hpp"
@@ -45,9 +46,9 @@ ArmSpec default_arm(const platform::DeviceSpec& spec) {
                     [](const platform::DeviceSpec& dev,
                        std::uint64_t) -> std::unique_ptr<governors::Governor> {
                         const bool orin = dev.name.find("orin") != std::string::npos;
-                        return std::make_unique<governors::DefaultGovernor>(
-                            orin ? governors::DefaultGovernor::orin_nano()
-                                 : governors::DefaultGovernor::mi11_lite());
+                        return std::make_unique<governors::KernelGovernor>(
+                            orin ? governors::KernelGovernor::orin_nano()
+                                 : governors::KernelGovernor::mi11_lite());
                     });
 }
 
@@ -101,7 +102,7 @@ ArmSpec performance_arm() {
     ArmSpec arm;
     arm.name = "performance";
     arm.make = [](std::uint64_t) -> std::unique_ptr<governors::Governor> {
-        return std::make_unique<governors::PerformanceGovernor>();
+        return std::make_unique<governors::FixedGovernor>(SIZE_MAX, SIZE_MAX);
     };
     return arm;
 }
@@ -110,7 +111,7 @@ ArmSpec powersave_arm() {
     ArmSpec arm;
     arm.name = "powersave";
     arm.make = [](std::uint64_t) -> std::unique_ptr<governors::Governor> {
-        return std::make_unique<governors::PowersaveGovernor>();
+        return std::make_unique<governors::FixedGovernor>(0, 0);
     };
     return arm;
 }

@@ -62,14 +62,6 @@ void EdgeDevice::request_levels(std::size_t cpu_level, std::size_t gpu_level) {
     }
 }
 
-void EdgeDevice::request_cpu_level(std::size_t level) {
-    request_levels(level, req_gpu_);
-}
-
-void EdgeDevice::request_gpu_level(std::size_t level) {
-    request_levels(req_cpu_, level);
-}
-
 std::size_t EdgeDevice::cpu_level() const noexcept {
     return std::min(req_cpu_, cpu_throttle_.cap());
 }

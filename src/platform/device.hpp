@@ -130,8 +130,6 @@ public:
     /// Advances the clock by the DVFS transition latency when the request
     /// changes anything.
     void request_levels(std::size_t cpu_level, std::size_t gpu_level);
-    void request_cpu_level(std::size_t level);
-    void request_gpu_level(std::size_t level);
 
     [[nodiscard]] std::size_t requested_cpu_level() const noexcept { return req_cpu_; }
     [[nodiscard]] std::size_t requested_gpu_level() const noexcept { return req_gpu_; }

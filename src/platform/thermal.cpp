@@ -176,26 +176,6 @@ void ThermalNetwork::apply_decay(const Modal& modal, double dt) {
     ++steps_;
 }
 
-void ThermalNetwork::step_exact(double dt, const std::array<double, kNumThermalNodes>& power_w,
-                                double ambient_celsius) {
-    if (dt < 0.0) throw std::invalid_argument("ThermalNetwork::step_exact: negative dt");
-    if (dt == 0.0) return;
-    if (!has_closed_form_) {
-        step(dt, power_w, ambient_celsius);
-        return;
-    }
-    apply_decay(project(power_w, ambient_celsius), dt);
-}
-
-double ThermalNetwork::max_step_for_drift(const std::array<double, kNumThermalNodes>& power_w,
-                                          double ambient_celsius, double delta_k) const {
-    if (delta_k <= 0.0) {
-        throw std::invalid_argument("ThermalNetwork::max_step_for_drift: delta must be > 0");
-    }
-    if (!has_closed_form_) return std::numeric_limits<double>::infinity();
-    return drift_bound(project(power_w, ambient_celsius), delta_k);
-}
-
 double ThermalNetwork::advance_bounded(double dt_max,
                                        const std::array<double, kNumThermalNodes>& power_w,
                                        double ambient_celsius, double delta_k) {
@@ -250,11 +230,6 @@ std::array<double, kNumThermalNodes> ThermalNetwork::steady_state(
 
 void ThermalNetwork::reset(double ambient_celsius) {
     temps_ = {ambient_celsius, ambient_celsius, ambient_celsius};
-    steps_ = 0;
-}
-
-void ThermalNetwork::reset() {
-    temps_ = params_.initial;
     steps_ = 0;
 }
 

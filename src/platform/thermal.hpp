@@ -16,10 +16,12 @@
 // it admits an exact solution: T(t) = T_ss + C^{-1/2} V e^{-Lambda t} V^T
 // C^{1/2} (T_0 - T_ss), where S = C^{-1/2} G C^{-1/2} = V Lambda V^T is a
 // constant symmetric matrix that only depends on the network parameters.
-// step_exact() evaluates that solution in one integration step regardless
-// of dt, and max_step_for_drift() gives the analytic step bound the device
-// uses to keep the power-freezing error (leakage drifts with temperature
-// inside a segment) below a configured tolerance.
+// advance_bounded() evaluates that solution in one integration step,
+// cut short at the analytic bound on how long any node takes to drift a
+// given number of kelvin -- the device uses it to keep the power-freezing
+// error (leakage drifts with temperature inside a segment) below a
+// configured tolerance. A bound of +infinity takes the whole step. step()
+// is the explicit-Euler reference it is tested against.
 
 #include <array>
 #include <cstddef>
@@ -53,36 +55,24 @@ public:
     void step(double dt, const std::array<double, kNumThermalNodes>& power_w,
               double ambient_celsius);
 
-    /// Advance by `dt` seconds under constant power/ambient using the exact
-    /// closed-form exponential solution: one integration step regardless of
-    /// dt. Falls back to step() when the network has no path to ambient
-    /// (singular G has no steady state to decay towards).
-    void step_exact(double dt, const std::array<double, kNumThermalNodes>& power_w,
-                    double ambient_celsius);
-
-    /// Analytic upper bound on how long the network can evolve from its
-    /// current state (under constant power/ambient) before any node's
-    /// temperature drifts more than `delta_k` kelvin from its current value.
-    /// Per node i with modal coefficients c_ik = V_ik a_k / sqrt(C_i):
-    /// |dT_i(t)| <= min(A_i, t * R_i) with A_i = sum_k |c_ik| (saturation)
-    /// and R_i = sum_k |c_ik| lambda_k (initial-rate bound, from
-    /// 1 - e^{-x} <= min(1, x)); nodes with A_i <= delta can never cross,
-    /// the rest cross no earlier than delta / R_i. Returns +infinity when no
-    /// node can ever drift that far.
-    [[nodiscard]] double max_step_for_drift(
-        const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius,
-        double delta_k) const;
-
-    /// Fused max_step_for_drift + step_exact: advance by
-    /// min(dt_max, drift bound) under constant power/ambient with ONE modal
-    /// projection, and return the time actually advanced (> 0 for
-    /// dt_max > 0). The advance loop's hot path. Falls back to step(dt_max)
-    /// on singular networks, like step_exact.
+    /// Advance under constant power/ambient with the exact closed-form
+    /// exponential solution, by min(dt_max, drift bound) in ONE integration
+    /// step, and return the time actually advanced (> 0 for dt_max > 0).
+    /// The drift bound is how long the network can evolve before any node's
+    /// temperature drifts more than `delta_k` kelvin: per node i with modal
+    /// coefficients c_ik = V_ik a_k / sqrt(C_i), |dT_i(t)| <= min(A_i, t R_i)
+    /// with A_i = sum_k |c_ik| (saturation) and R_i = sum_k |c_ik| lambda_k
+    /// (initial-rate bound, from 1 - e^{-x} <= min(1, x)); nodes with
+    /// A_i <= delta can never cross, the rest cross no earlier than
+    /// delta / R_i. delta_k = +infinity (or a state no node can drift that
+    /// far from) advances the whole dt_max. Falls back to Euler step(dt_max)
+    /// when the network has no path to ambient (singular G has no steady
+    /// state to decay towards). The device advance loop's hot path.
     double advance_bounded(double dt_max, const std::array<double, kNumThermalNodes>& power_w,
                            double ambient_celsius, double delta_k);
 
     /// Integration steps taken so far (Euler sub-steps count individually,
-    /// each step_exact() counts once); cleared by reset().
+    /// each closed-form advance_bounded() counts once); cleared by reset().
     [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
     [[nodiscard]] double temperature(ThermalNode n) const noexcept {
@@ -98,7 +88,6 @@ public:
         const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius) const;
 
     void reset(double ambient_celsius);
-    void reset();
 
     [[nodiscard]] const ThermalParams& params() const noexcept { return params_; }
 
@@ -121,8 +110,7 @@ private:
     std::uint64_t steps_ = 0;
 
     // Constant modal decomposition of S = C^{-1/2} G C^{-1/2} (symmetric):
-    // computed once at construction, shared by step_exact() and
-    // max_step_for_drift().
+    // computed once at construction, used by every advance_bounded().
     std::array<double, kNumThermalNodes> sqrt_c_{};
     std::array<double, kNumThermalNodes> eigenvalues_{};          // 1/s, >= 0
     std::array<std::array<double, kNumThermalNodes>, kNumThermalNodes>

@@ -58,12 +58,6 @@ int DqnCore::act(std::span<const double> state, double width, double epsilon,
     return greedy_action(state, width);
 }
 
-std::vector<double> DqnCore::q_values(std::span<const double> state, double width) const {
-    std::vector<double> q(online_.output_dim(), 0.0);
-    q_values(state, width, q);
-    return q;
-}
-
 void DqnCore::q_values(std::span<const double> state, double width,
                        std::span<double> out) const {
     online_.forward(state, width, out, act_scratch_);

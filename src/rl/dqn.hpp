@@ -64,11 +64,8 @@ public:
     [[nodiscard]] int act(std::span<const double> state, double width, double epsilon,
                           util::Rng& rng) const;
 
-    /// Q-values of the online network (full action dimension).
-    [[nodiscard]] std::vector<double> q_values(std::span<const double> state,
-                                               double width) const;
-
-    /// Allocation-free Q-values: writes into `out` (size = output_dim).
+    /// Q-values of the online network: writes into `out` (size =
+    /// output_dim, the full action dimension) without allocating.
     void q_values(std::span<const double> state, double width,
                   std::span<double> out) const;
 

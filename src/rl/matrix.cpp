@@ -32,10 +32,6 @@ std::span<const double> Matrix::row(std::size_t r) const noexcept {
     return {data_.data() + r * cols_, cols_};
 }
 
-void Matrix::fill(double v) noexcept {
-    for (auto& x : data_) x = v;
-}
-
 void Matrix::resize(std::size_t rows, std::size_t cols, double fill) {
     if (rows == 0 || cols == 0) {
         throw std::invalid_argument("Matrix::resize: zero dimension");

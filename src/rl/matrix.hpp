@@ -38,8 +38,6 @@ public:
     [[nodiscard]] std::span<double> row(std::size_t r) noexcept;
     [[nodiscard]] std::span<const double> row(std::size_t r) const noexcept;
 
-    void fill(double v) noexcept;
-
     /// Reshape in place to rows x cols, filling every element; reuses the
     /// underlying capacity (hot-path scratch matrices reallocate only to
     /// grow). Throws like the constructor on a zero dimension.

@@ -91,7 +91,7 @@ int Recorder::track(const std::string& process, const std::string& thread) {
     if (it != track_ids_.end()) return it->second;
 
     auto [pit, inserted] = pids_.emplace(process, static_cast<int>(pids_.size()) + 1);
-    (void)inserted;
+    if (inserted) rings_.emplace_back();
     TrackInfo info;
     info.process = process;
     info.thread = thread;
@@ -107,9 +107,14 @@ void Recorder::emit(Event e) {
     if (e.track < 0 || static_cast<std::size_t>(e.track) >= tracks_.size()) {
         throw std::out_of_range("Recorder: event on unknown track");
     }
-    auto& ring = rings_[tracks_[static_cast<std::size_t>(e.track)].pid];
-    ring.push_back(e);
-    if (ring.size() > opt_.ring_capacity) ring.pop_front();
+    const int pid = tracks_[static_cast<std::size_t>(e.track)].pid;
+    auto& ring = rings_[static_cast<std::size_t>(pid) - 1];
+    if (ring.slots.size() < opt_.ring_capacity) {
+        ring.slots.push_back(log_.size());
+    } else {
+        ring.slots[ring.pushed % opt_.ring_capacity] = log_.size();
+    }
+    ++ring.pushed;
     log_.push_back(std::move(e));
 }
 
@@ -194,9 +199,14 @@ void Recorder::breach(int track, std::string reason, std::uint64_t request_id, d
     b.reason = std::move(reason);
     b.request_id = request_id;
     b.args = std::move(args);
-    const auto rit = rings_.find(info.pid);
-    if (rit != rings_.end()) {
-        b.context.assign(rit->second.begin(), rit->second.end());
+    const auto& ring = rings_[static_cast<std::size_t>(info.pid) - 1];
+    if (!ring.slots.empty()) {
+        // Oldest first: once the ring is full, the oldest slot is the next
+        // one to be overwritten.
+        const auto oldest = static_cast<std::ptrdiff_t>(ring.pushed % ring.slots.size());
+        b.context.resize(ring.slots.size());
+        std::rotate_copy(ring.slots.begin(), ring.slots.begin() + oldest, ring.slots.end(),
+                         b.context.begin());
     }
     breaches_.push_back(std::move(b));
 }
@@ -249,27 +259,17 @@ std::string Recorder::chrome_trace_json() const {
     };
 
     // Metadata: name every process and thread so Perfetto renders devices
-    // and streams by name instead of by pid/tid number.
-    int last_pid = 0;
+    // and streams by name instead of by pid/tid number. Pids are numbered
+    // in first-seen order, so the first track of each pid is the first one
+    // past the highest pid named so far.
+    int named_pids = 0;
     for (const auto& t : tracks_) {
-        if (t.pid != last_pid) {
-            // pids_ is sorted by name but numbered in first-seen order;
-            // emit the process_name record on the first track of each pid.
-            bool seen = false;
-            for (const auto& prev : tracks_) {
-                if (&prev == &t) break;
-                if (prev.pid == t.pid) {
-                    seen = true;
-                    break;
-                }
-            }
-            if (!seen) {
-                append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                       std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":" +
-                       jstr(t.process) + "}}");
-            }
+        if (t.pid > named_pids) {
+            named_pids = t.pid;
+            append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
+                   std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":" +
+                   jstr(t.process) + "}}");
         }
-        last_pid = t.pid;
         append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(t.pid) +
                ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":" +
                jstr(t.thread) + "}}");
@@ -338,7 +338,7 @@ std::string Recorder::breaches_jsonl() const {
         if (!b.args.empty()) line += ",\"args\":{" + b.args + "}";
         line += ",\"events\":[";
         for (std::size_t i = 0; i < b.context.size(); ++i) {
-            const auto& e = b.context[i];
+            const auto& e = log_[b.context[i]];
             const auto& t = tracks_[static_cast<std::size_t>(e.track)];
             if (i != 0) line += ",";
             line += event_jsonl_object(e, t.process, t.thread);

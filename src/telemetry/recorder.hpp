@@ -15,9 +15,10 @@
 // process (one thread per stream), and the fleet dispatcher under "fleet".
 // Events are durations (begin/end, strictly nested per track), async spans
 // (begin/end matched by id -- request lifecycles overlap freely), instants,
-// and counters. An SLO-breach flight recorder keeps the last-N events of
-// every process in a ring buffer; breach() snapshots that ring into a
-// compact report with the causal context of the miss.
+// and counters. The log is the one event store: an SLO-breach flight
+// recorder keeps the log indices of the last-N events of every process in
+// a bounded ring, breach() snapshots those indices into a compact report,
+// and the export renders the causal context of the miss from the log.
 //
 // Determinism: one Recorder is bound per episode via BindScope, and an
 // episode runs entirely on one worker thread, so the Recorder needs no
@@ -36,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -156,7 +156,13 @@ private:
         std::string reason;
         std::uint64_t request_id = 0;
         std::string args;
-        std::vector<Event> context; // ring snapshot, oldest first
+        std::vector<std::size_t> context; // log indices, oldest first
+    };
+    /// One process's flight recorder: the log indices of its last
+    /// ring_capacity events, overwritten in place once full.
+    struct Ring {
+        std::vector<std::size_t> slots;
+        std::size_t pushed = 0; // events seen; slots[pushed % size] is next
     };
 
     void emit(Event e);
@@ -170,7 +176,7 @@ private:
     std::vector<TrackInfo> tracks_;
     std::map<std::pair<std::string, std::string>, int> track_ids_;
     std::map<std::string, int> pids_;
-    std::map<int, std::deque<Event>> rings_; // per-pid flight recorder
+    std::vector<Ring> rings_; // flight recorder, indexed by pid - 1
     std::vector<Breach> breaches_;
     std::string context_ = "sim";
 };

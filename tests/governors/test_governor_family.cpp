@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "governors/linux_governors.hpp"
 #include "rl/dqn.hpp"
 
@@ -104,8 +106,9 @@ INSTANTIATE_TEST_SUITE_P(AllCpuPolicies, KernelGovernorSuite,
                                            CpuPolicyKind::ondemand,
                                            CpuPolicyKind::conservative));
 
-TEST(PerformanceGovernor, PinsTopLevels) {
-    PerformanceGovernor gov;
+// Linux `performance` and `powersave`: FixedGovernor clamps to the ladder.
+TEST(FixedGovernor, SizeMaxPinsTopLevels) {
+    FixedGovernor gov(SIZE_MAX, SIZE_MAX);
     Observation obs;
     obs.cpu_levels = 8;
     obs.gpu_levels = 6;
@@ -115,8 +118,8 @@ TEST(PerformanceGovernor, PinsTopLevels) {
     EXPECT_EQ(req.gpu, 5u);
 }
 
-TEST(PowersaveGovernor, PinsBottomLevels) {
-    PowersaveGovernor gov;
+TEST(FixedGovernor, ZeroPinsBottomLevels) {
+    FixedGovernor gov(0, 0);
     Observation obs;
     obs.cpu_levels = 8;
     obs.gpu_levels = 6;
@@ -140,6 +143,14 @@ MlpConfig toy_net(std::uint64_t seed) {
     return cfg;
 }
 
+/// Online Q-values at `width` (the full action dimension).
+std::vector<double> q_values(const DqnCore& dqn, std::span<const double> state,
+                             double width) {
+    std::vector<double> q(dqn.online().output_dim());
+    dqn.q_values(state, width, q);
+    return q;
+}
+
 TEST(DoubleDqn, ConvergesOnBandit) {
     DqnConfig cfg;
     cfg.gamma = 0.0;
@@ -160,7 +171,7 @@ TEST(DoubleDqn, ConvergesOnBandit) {
     }
     util::Rng rng(23);
     for (int i = 0; i < 300; ++i) dqn.train_step(buf, rng, 1);
-    const auto q = dqn.q_values(s, 1.0);
+    const auto q = q_values(dqn, s, 1.0);
     EXPECT_GT(q[0], q[1]);
 }
 
@@ -191,7 +202,7 @@ TEST(DoubleDqn, TargetsDifferFromVanilla) {
         doubled.train_step(buf, r2, 1);
     }
     const std::vector<double> probe{0.5, 0.5};
-    EXPECT_NE(vanilla.q_values(probe, 1.0), doubled.q_values(probe, 1.0));
+    EXPECT_NE(q_values(vanilla, probe, 1.0), q_values(doubled, probe, 1.0));
 }
 
 } // namespace

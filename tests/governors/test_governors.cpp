@@ -110,8 +110,9 @@ TEST(SimpleOndemandPolicy, HoldsInHysteresisBand) {
     EXPECT_EQ(level, 3u);
 }
 
-TEST(DefaultGovernor, TicksDriveBothDomains) {
-    auto gov = DefaultGovernor::orin_nano();
+TEST(KernelGovernor, DefaultTicksDriveBothDomains) {
+    auto gov = KernelGovernor::orin_nano();
+    EXPECT_EQ(gov.name(), "default(schedutil+nvhost_podgov)");
     EXPECT_GT(gov.tick_interval_s(), 0.0);
     EXPECT_EQ(gov.decision_overhead_s(), 0.0) << "kernel governors are free";
     // Sustained GPU load with idle CPU: GPU should head to max, CPU down.
@@ -131,8 +132,9 @@ TEST(DefaultGovernor, TicksDriveBothDomains) {
     EXPECT_LE(cpu, 3u);
 }
 
-TEST(DefaultGovernor, FrameHooksAreNoOps) {
-    auto gov = DefaultGovernor::mi11_lite();
+TEST(KernelGovernor, DefaultFrameHooksAreNoOps) {
+    auto gov = KernelGovernor::mi11_lite();
+    EXPECT_EQ(gov.name(), "default(schedutil+msm-adreno-tz)");
     EXPECT_FALSE(gov.on_frame_start(make_obs()).has_request);
     EXPECT_FALSE(gov.on_post_rpn(make_obs()).has_request);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
@@ -112,8 +114,11 @@ TEST(ThermalNetwork, SubstepIndependence) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form exponential stepper.
+// Closed-form exponential stepper: advance_bounded, the device's integrator.
+// A drift bound of +infinity takes the whole step.
 // ---------------------------------------------------------------------------
+
+constexpr double kWholeStep = std::numeric_limits<double>::infinity();
 
 TEST(ThermalNetworkExact, MatchesEulerReference) {
     ThermalNetwork euler(default_params());
@@ -121,8 +126,9 @@ TEST(ThermalNetworkExact, MatchesEulerReference) {
     euler.reset(25.0);
     exact.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
-    euler.step(10.0, power, 25.0);   // 2000 Euler sub-steps
-    exact.step_exact(10.0, power, 25.0); // ONE step
+    euler.step(10.0, power, 25.0); // 2000 Euler sub-steps
+    EXPECT_EQ(exact.advance_bounded(10.0, power, 25.0, kWholeStep), 10.0); // ONE step
+    EXPECT_EQ(exact.steps(), 1u);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(exact.temperatures()[i], euler.temperatures()[i], 5e-3);
     }
@@ -136,9 +142,9 @@ TEST(ThermalNetworkExact, IsTimeAdditive) {
     a.reset(25.0);
     b.reset(25.0);
     const std::array<double, kNumThermalNodes> power{3.0, 12.0, 0.0};
-    a.step_exact(3.0, power, 25.0);
-    a.step_exact(7.0, power, 25.0);
-    b.step_exact(10.0, power, 25.0);
+    a.advance_bounded(3.0, power, 25.0, kWholeStep);
+    a.advance_bounded(7.0, power, 25.0, kWholeStep);
+    b.advance_bounded(10.0, power, 25.0, kWholeStep);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(a.temperatures()[i], b.temperatures()[i], 1e-9);
     }
@@ -149,7 +155,7 @@ TEST(ThermalNetworkExact, ConvergesToSteadyStateInOneStep) {
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
     const auto expected = net.steady_state(power, 25.0);
-    net.step_exact(1e6, power, 25.0);
+    net.advance_bounded(1e6, power, 25.0, kWholeStep);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(net.temperatures()[i], expected[i], 1e-9);
     }
@@ -160,25 +166,29 @@ TEST(ThermalNetworkExact, DriftBoundIsHonored) {
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{3.0, 12.0, 0.0};
     // Walk towards steady state in bound-sized steps; no step may drift any
-    // node more than the requested delta.
+    // node more than the requested delta. A step that takes the whole span
+    // means no node can drift that far any more.
+    constexpr double kSpan = 1e6;
+    int bounded = 0;
     for (int i = 0; i < 50; ++i) {
-        const double h = net.max_step_for_drift(power, 25.0, 0.5);
-        if (std::isinf(h)) break;
-        ASSERT_GT(h, 0.0);
         const auto before = net.temperatures();
-        net.step_exact(h, power, 25.0);
+        const double h = net.advance_bounded(kSpan, power, 25.0, 0.5);
+        ASSERT_GT(h, 0.0);
         for (std::size_t n = 0; n < kNumThermalNodes; ++n) {
             EXPECT_LE(std::abs(net.temperatures()[n] - before[n]), 0.5 + 1e-9);
         }
+        if (h == kSpan) break;
+        ++bounded;
     }
+    EXPECT_GT(bounded, 1) << "a cold start under load must be cut short";
 }
 
 TEST(ThermalNetworkExact, DriftBoundInfiniteAtSteadyState) {
     ThermalNetwork net(default_params());
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
-    net.step_exact(1e9, power, 25.0);
-    EXPECT_TRUE(std::isinf(net.max_step_for_drift(power, 25.0, 0.25)));
+    net.advance_bounded(1e9, power, 25.0, kWholeStep);
+    EXPECT_EQ(net.advance_bounded(1e9, power, 25.0, 0.25), 1e9);
 }
 
 TEST(ThermalNetworkExact, StepCounters) {
@@ -187,26 +197,34 @@ TEST(ThermalNetworkExact, StepCounters) {
     EXPECT_EQ(net.steps(), 0u);
     net.step(1.0, {1, 1, 0}, 25.0); // 200 Euler sub-steps at max_dt = 5 ms
     EXPECT_EQ(net.steps(), 200u);
-    net.step_exact(1.0, {1, 1, 0}, 25.0);
+    net.advance_bounded(1.0, {1, 1, 0}, 25.0, kWholeStep);
+    EXPECT_EQ(net.steps(), 201u);
+    EXPECT_EQ(net.advance_bounded(0.0, {1, 1, 0}, 25.0, 0.25), 0.0);
     EXPECT_EQ(net.steps(), 201u);
     net.reset(25.0);
     EXPECT_EQ(net.steps(), 0u);
 }
 
+TEST(ThermalNetworkExact, RejectsNegativeSpanAndNonPositiveDelta) {
+    ThermalNetwork net(default_params());
+    EXPECT_THROW(net.advance_bounded(-1.0, {1, 1, 0}, 25.0, 0.25), std::invalid_argument);
+    EXPECT_THROW(net.advance_bounded(1.0, {1, 1, 0}, 25.0, 0.0), std::invalid_argument);
+}
+
 TEST(ThermalNetworkExact, IsolatedNetworkFallsBackToEuler) {
     // Without any path to ambient the system is singular (no steady state);
-    // step_exact must fall back to Euler instead of dividing by zero.
+    // advance_bounded must fall back to Euler over the whole span instead of
+    // dividing by zero.
     auto p = default_params();
     p.g_to_ambient = {0.0, 0.0, 0.0};
     ThermalNetwork net(p);
     net.reset(25.0);
-    net.step_exact(1.0, {1.0, 1.0, 0.0}, 25.0);
+    EXPECT_EQ(net.advance_bounded(1.0, {1.0, 1.0, 0.0}, 25.0, 0.25), 1.0);
     for (const double t : net.temperatures()) {
         EXPECT_TRUE(std::isfinite(t));
         EXPECT_GT(t, 25.0); // heat with nowhere to go accumulates
     }
     EXPECT_EQ(net.steps(), 200u); // Euler sub-step count, not 1
-    EXPECT_TRUE(std::isinf(net.max_step_for_drift({1.0, 1.0, 0.0}, 25.0, 0.25)));
 }
 
 // ---------------------------------------------------------------------------

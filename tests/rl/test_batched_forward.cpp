@@ -51,6 +51,14 @@ void expect_bitwise_eq(std::span<const double> a, std::span<const double> b) {
     }
 }
 
+/// Online Q-values at `width` (the full action dimension).
+std::vector<double> q_values(const DqnCore& dqn, std::span<const double> state,
+                             double width) {
+    std::vector<double> q(dqn.online().output_dim());
+    dqn.q_values(state, width, q);
+    return q;
+}
+
 TEST(SliceMatmul, BitIdenticalToMatvecAcrossShapes) {
     util::Rng rng(7);
     // Ragged shapes: partial 8-row panels, partial sample tiles, plus
@@ -531,8 +539,8 @@ TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
 
     const auto probe = random_vector(7, rng);
     for (const double width : {0.75, 1.0}) {
-        expect_bitwise_eq(scalar_core.q_values(probe, width),
-                          batched_core.q_values(probe, width));
+        expect_bitwise_eq(q_values(scalar_core, probe, width),
+                          q_values(batched_core, probe, width));
     }
 }
 

@@ -24,6 +24,14 @@ Transition make_transition(double tag, int action = 0) {
     return t;
 }
 
+/// Online Q-values at `width` (the full action dimension).
+std::vector<double> q_values(const DqnCore& dqn, std::span<const double> state,
+                             double width) {
+    std::vector<double> q(dqn.online().output_dim());
+    dqn.q_values(state, width, q);
+    return q;
+}
+
 TEST(ReplayBuffer, RejectsZeroCapacity) {
     EXPECT_THROW(ReplayBuffer(0), std::invalid_argument);
 }
@@ -137,7 +145,7 @@ MlpConfig toy_net(std::size_t inputs, std::size_t actions, std::uint64_t seed) {
 TEST(DqnCore, GreedyActionIsArgmax) {
     DqnCore dqn(toy_net(2, 3, 1), {});
     const std::vector<double> s{0.5, -0.5};
-    const auto q = dqn.q_values(s, 1.0);
+    const auto q = q_values(dqn, s, 1.0);
     const auto best = static_cast<int>(
         std::distance(q.begin(), std::max_element(q.begin(), q.end())));
     EXPECT_EQ(dqn.greedy_action(s, 1.0), best);
@@ -193,7 +201,7 @@ TEST(DqnCore, LearnsBanditPreference) {
     util::Rng rng(9);
     for (int i = 0; i < 300; ++i) dqn.train_step(buf, rng, 1);
 
-    const auto q = dqn.q_values(s, 1.0);
+    const auto q = q_values(dqn, s, 1.0);
     EXPECT_GT(q[0], q[1]);
     EXPECT_NEAR(q[0], 1.0, 0.15);
     EXPECT_NEAR(q[1], 0.0, 0.15);
@@ -245,8 +253,8 @@ TEST(DqnCore, LearnsChainPolicy) {
         EXPECT_EQ(dqn.greedy_action(encode(s), 1.0), 1) << "state " << s;
     }
     // Value should decay with distance from the goal.
-    const auto q3 = dqn.q_values(encode(3), 1.0);
-    const auto q0 = dqn.q_values(encode(0), 1.0);
+    const auto q3 = q_values(dqn, encode(3), 1.0);
+    const auto q0 = q_values(dqn, encode(0), 1.0);
     EXPECT_GT(q3[1], q0[1]);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "governors/linux_governors.hpp"
@@ -130,7 +131,7 @@ TEST(ServingEngine, ConservesRequestsAndSummaries) {
 TEST(ServingEngine, LightLoadMeetsEveryDeadline) {
     // 2 streams x 0.2 Hz: the device is idle most of the time.
     const ServingEngine engine(base_config(2, 5, 0.2));
-    governors::PerformanceGovernor governor;
+    governors::FixedGovernor governor(SIZE_MAX, SIZE_MAX);
     const auto trace = engine.run(governor);
     const auto agg = trace.aggregate();
     EXPECT_EQ(agg.served, 10u);
@@ -165,7 +166,7 @@ TEST(ServingEngine, GovernorSeesEndToEndLatency) {
 TEST(ServingEngine, ThermalStateCarriesAcrossStreams) {
     auto cfg = base_config(4, 6, 0.8);
     const ServingEngine engine(cfg);
-    governors::PerformanceGovernor governor;
+    governors::FixedGovernor governor(SIZE_MAX, SIZE_MAX);
     const auto trace = engine.run(governor);
     // Back-to-back max-frequency service heats the device well above the
     // 25 C ambient; the later records see the heat the earlier ones left.

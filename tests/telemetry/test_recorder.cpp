@@ -108,7 +108,7 @@ TEST(Recorder, BreachSnapshotsCapBoundedPerProcessRing) {
     const int plat = rec.track("dev", "platform");
     const int queue = rec.track("dev", "queue");
     const int other = rec.track("elsewhere", "platform");
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 9; ++i) {
         rec.instant(plat, "tick" + std::to_string(i), 0.1 * i);
     }
     rec.counter(queue, "queue_depth", 0.85, 5.0); // same pid, other thread
@@ -121,10 +121,21 @@ TEST(Recorder, BreachSnapshotsCapBoundedPerProcessRing) {
     EXPECT_NE(report.find("\"request\":12"), std::string::npos);
     // Ring depth 3: the two newest device events survive plus the queue
     // sample; everything older and every other-process event is gone.
-    EXPECT_NE(report.find("tick7"), std::string::npos);
-    EXPECT_NE(report.find("queue_depth"), std::string::npos);
-    EXPECT_EQ(report.find("tick0"), std::string::npos);
+    // The ring has wrapped; its snapshot still reads oldest first.
+    const auto tick7 = report.find("tick7");
+    const auto tick8 = report.find("tick8");
+    const auto depth = report.find("queue_depth");
+    ASSERT_NE(tick7, std::string::npos);
+    ASSERT_NE(tick8, std::string::npos);
+    ASSERT_NE(depth, std::string::npos);
+    EXPECT_LT(tick7, tick8);
+    EXPECT_LT(tick8, depth);
+    EXPECT_EQ(report.find("tick6"), std::string::npos);
     EXPECT_EQ(report.find("unrelated"), std::string::npos);
+
+    // A process that has emitted nothing breaches with an empty context.
+    rec.breach(rec.track("idle", "queue"), "shed", 13, 1.1);
+    EXPECT_NE(rec.breaches_jsonl().find("\"request\":13,\"events\":[]"), std::string::npos);
 }
 
 TEST(Recorder, ThreadLocalBindingNestsAndSuspends) {

@@ -114,7 +114,18 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
     const bool closed_form = spec_.thermal_stepping == ThermalStepping::closed_form;
     double remaining = dt;
     double elapsed = 0.0;
-    fire_due_events(cpu_util, gpu_util);
+    // Deliver due listener events (kernel ticks). These may nest another
+    // advance (a tick requesting new levels pays the DVFS stall), which runs
+    // this loop re-entrantly on top of the current segment. Work pauses
+    // while the stall runs, so advance_work() charges it on top of the
+    // slice; a plain advance() (idle, decision overhead) spans wall time,
+    // so the stall counts against the span.
+    const auto deliver_events = [&] {
+        const double before = now_;
+        fire_due_events(cpu_util, gpu_util);
+        if (!stop_on_level_change) remaining -= now_ - before;
+    };
+    deliver_events();
     while (remaining > 0.0) {
         const auto cl = cpu_level();
         const auto gl = gpu_level();
@@ -163,10 +174,7 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
             listener_->on_throttle(now_, cpu_throttle_.engaged(), gpu_throttle_.engaged());
         }
         publish_telemetry();
-        // Deliver due listener events (kernel ticks). These may nest another
-        // advance (a tick requesting new levels pays the DVFS stall), which
-        // runs this loop re-entrantly on top of the current segment.
-        fire_due_events(cpu_util, gpu_util);
+        deliver_events();
 
         if (stop_on_level_change && (cpu_level() != cl || gl != gpu_level())) break;
     }

@@ -43,9 +43,10 @@ namespace lotus::platform {
 /// after each call the listener must move next_event_s() strictly forward,
 /// or the device throws std::logic_error. on_event() may re-enter
 /// EdgeDevice::advance()/request_levels() (e.g. a governor tick changing
-/// levels mid-slice); the nested time is charged on top of the in-flight
-/// advance, exactly like a DVFS stall on hardware extends the work around
-/// it. on_throttle() fires after any throttle poll that leaves a domain
+/// levels mid-slice). Under advance_work() the nested time is charged on
+/// top of the in-flight slice, exactly like a DVFS stall on hardware
+/// extends the work around it; under advance() it is part of the span.
+/// on_throttle() fires after any throttle poll that leaves a domain
 /// engaged.
 class AdvanceListener {
 public:
@@ -150,7 +151,8 @@ public:
     /// the throttlers at their exact instants, accumulates energy and
     /// notifies the registered AdvanceListener. The ONLY place the clock
     /// moves. Listener events may nest further advances (DVFS stalls); the
-    /// nested time is in addition to dt.
+    /// nested time is part of dt, so the span ends at now() + dt unless a
+    /// stall that starts inside it runs past its end.
     void advance(double dt, double cpu_util, double gpu_util);
 
     /// Like advance(), but returns as soon as a segment ends with different

@@ -20,12 +20,12 @@ const int kFastMode = []() { return ::setenv("LOTUS_BENCH_FAST", "1", 1); }();
 
 // LOTUS_BENCH_FAST=1, harness seed 42, full ledgers.
 const fingerprint::Table kExpected = {
-    {"serve_light", 0x9104a367dbecd8faULL},
-    {"serve_saturation", 0x6e61e0c0a58b5a40ULL},
-    {"serve_burst_storm", 0xd3ddb2ea26b8c456ULL},
-    {"serve_mixed_slo", 0x8b23b440dafbc80cULL},
-    {"serve_diurnal", 0x096b88677f947a51ULL},
-    {"serve_latency_attack", 0xac6de95887395003ULL},
+    {"serve_light", 0x662c4941715a4bdfULL},
+    {"serve_saturation", 0xb2aa854d9cc105abULL},
+    {"serve_burst_storm", 0xd250d3780cb96c21ULL},
+    {"serve_mixed_slo", 0x19deff480a5f5776ULL},
+    {"serve_diurnal", 0x42486de8ce41e14dULL},
+    {"serve_latency_attack", 0xd976255f0fb4fb9eULL},
     {"serve_fleet_saturation", 0x3f9adff7a4fdb5acULL},
     {"serve_fleet_hetero", 0xaa05bbd7a1979defULL},
     {"serve_fleet_diurnal_holdout", 0xe509335e4ec91c45ULL},

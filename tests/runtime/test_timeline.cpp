@@ -164,6 +164,40 @@ TEST(UnifiedTimeline, TicksFireAtExactCadenceAcrossIdle) {
     }
 }
 
+/// Changes the CPU level on every tick, so every tick pays a DVFS stall.
+class FlipFlopGovernor final : public governors::Governor {
+public:
+    [[nodiscard]] std::string name() const override { return "flip_flop"; }
+    [[nodiscard]] double tick_interval_s() const override { return 0.02; }
+    governors::LevelRequest on_tick(const governors::TickObservation& tick) override {
+        ++ticks;
+        high_ = !high_;
+        return governors::LevelRequest::set(tick.cpu_levels - (high_ ? 1 : 2), 0);
+    }
+
+    std::size_t ticks = 0;
+
+private:
+    bool high_ = false;
+};
+
+TEST(UnifiedTimeline, IdleSpanEndsOnTimeDespiteDvfsStalls) {
+    // The stalls a ticking governor pays while the device idles run inside
+    // the idle span: it ends at its start plus its length, not 50 us later
+    // per level change.
+    platform::EdgeDevice device(platform::orin_nano_spec());
+    InferenceEngine engine(device);
+    FlipFlopGovernor gov;
+    engine.run_idle(0.01, gov);
+    const double start = device.now();
+    const double energy = device.energy_joules();
+    engine.run_idle(1.005, gov);
+
+    EXPECT_EQ(gov.ticks, 50u); // 0.02 .. 1.00
+    EXPECT_NEAR(device.now(), start + 1.005, 1e-12);
+    EXPECT_GT(device.energy_joules(), energy);
+}
+
 TEST(UnifiedTimeline, TicksKeepFiringDuringDvfsTransition) {
     auto spec = toy_hot_spec();
     spec.initial_ambient_celsius = 25.0; // cool: no throttling noise

@@ -156,9 +156,9 @@ PINNED = {
     "run_single_csv": "628c2a67738133cc",
     "run_single_telemetry": "ae5982cb96326129",
     "run_list_scenarios": "3d1516257775511c",
-    "run_scenario_serve_light": "87b92e872cea2dc2",
+    "run_scenario_serve_light": "b067b3d900ec0751",
     "serve_adhoc": "fc10875a9b4c94dc",
-    "serve_adhoc_fleet": "50becb29482700f4",
+    "serve_adhoc_fleet": "3b779d4d2301a111",
     "serve_scenario_fleet_resized": "356248cd19a0ad39",
     "serve_list_scenarios": "3128fcceb7133a41",
     "trace_synth": "96d131f2c1d2d379",

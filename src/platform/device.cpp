@@ -118,8 +118,8 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
     // advance (a tick requesting new levels pays the DVFS stall), which runs
     // this loop re-entrantly on top of the current segment. Work pauses
     // while the stall runs, so advance_work() charges it on top of the
-    // slice; a plain advance() (idle, decision overhead) spans wall time,
-    // so the stall counts against the span.
+    // slice; a plain advance() (idle, decision overhead) covers a fixed
+    // stretch of simulated time, so the stall counts against the span.
     const auto deliver_events = [&] {
         const double before = now_;
         fire_due_events(cpu_util, gpu_util);

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "governors/linux_governors.hpp"
 #include "harness/harness.hpp"
 #include "platform/presets.hpp"
 #include "serving/engine.hpp"
+#include "util/rng.hpp"
+#include "workload/dataset.hpp"
 
 namespace lotus::serving {
 namespace {
@@ -90,6 +95,107 @@ TEST(ServingDeterminism, SeedChangesTheTimeline) {
         any_different = any_different || a[i].arrival_s != b[i].arrival_s;
     }
     EXPECT_TRUE(any_different);
+}
+
+/// Eight streams covering every arrival process, with exact timeline ties:
+/// cam_a and cam_b are periodic with one phase and rate (equal arrivals
+/// across streams, cam_c lands on every other one of them), and the fast
+/// bursty and attack volleys outrun their own spacing, so the monotone
+/// clamp repeats arrivals within one stream.
+std::vector<StreamSpec> tied_streams() {
+    const struct {
+        const char* name;
+        ArrivalKind kind;
+        double rate_hz;
+        double phase_s;
+    } rows[] = {
+        {"cam_a", ArrivalKind::periodic, 2.0, 0.5},
+        {"clients", ArrivalKind::poisson, 3.0, 0.0},
+        {"cam_b", ArrivalKind::periodic, 2.0, 0.5},
+        {"burst_fast", ArrivalKind::bursty, 500.0, 0.0},
+        {"daily", ArrivalKind::diurnal, 1.5, 0.25},
+        {"attack_fast", ArrivalKind::attack, 400.0, 0.0},
+        {"burst", ArrivalKind::bursty, 1.0, 0.1},
+        {"cam_c", ArrivalKind::periodic, 4.0, 0.5},
+    };
+    std::vector<StreamSpec> streams;
+    for (const auto& row : rows) {
+        StreamSpec s;
+        s.name = row.name;
+        s.dataset = streams.size() % 3 == 2 ? "VisDrone2019" : "KITTI";
+        s.slo_s = 0.3 + 0.05 * static_cast<double>(streams.size());
+        s.requests = 40;
+        s.arrival.kind = row.kind;
+        s.arrival.rate_hz = row.rate_hz;
+        s.arrival.phase_s = row.phase_s;
+        streams.push_back(std::move(s));
+    }
+    return streams;
+}
+
+/// The timeline by definition: every stream drained from its own arrival
+/// process and frame stream, then one std::sort on (arrival_s, stream,
+/// frame.index) and ids renumbered in that order.
+std::vector<Request> sorted_reference(const std::vector<StreamSpec>& streams,
+                                      std::uint64_t seed) {
+    std::vector<Request> all;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        const auto& stream = streams[s];
+        ArrivalGenerator arrivals(stream.arrival, stream.requests,
+                                  util::derive_seed(seed, "arrivals/" + stream.name, s));
+        workload::FrameStream frames(workload::dataset_by_name(stream.dataset),
+                                     util::derive_seed(seed, "frames/" + stream.name, s));
+        while (!arrivals.done()) {
+            Request r;
+            r.stream = s;
+            r.arrival_s = arrivals.next();
+            r.slo_s = stream.slo_s;
+            r.frame = frames.next();
+            all.push_back(r);
+        }
+    }
+    std::sort(all.begin(), all.end(), [](const Request& a, const Request& b) {
+        return std::tie(a.arrival_s, a.stream, a.frame.index) <
+               std::tie(b.arrival_s, b.stream, b.frame.index);
+    });
+    for (std::size_t i = 0; i < all.size(); ++i) all[i].id = i;
+    return all;
+}
+
+TEST(ServingDeterminism, TimelineOrderMatchesSortedReference) {
+    const auto streams = tied_streams();
+    for (const std::uint64_t seed : {5u, 91u}) {
+        const auto timeline = build_request_timeline(streams, seed);
+        const auto expected = sorted_reference(streams, seed);
+        ASSERT_EQ(timeline.size(), expected.size());
+        std::size_t cross_stream_ties = 0;
+        std::size_t within_stream_ties = 0;
+        for (std::size_t i = 0; i < timeline.size(); ++i) {
+            const auto& got = timeline[i];
+            const auto& want = expected[i];
+            ASSERT_EQ(got.id, want.id) << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.stream, want.stream) << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.arrival_s, want.arrival_s) << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.slo_s, want.slo_s) << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.frame.index, want.frame.index)
+                << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.frame.proposals, want.frame.proposals)
+                << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.frame.complexity, want.frame.complexity)
+                << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.frame.jitter, want.frame.jitter)
+                << "seed " << seed << " request " << i;
+            ASSERT_EQ(got.frame.resolution_scale, want.frame.resolution_scale)
+                << "seed " << seed << " request " << i;
+            if (i > 0 && timeline[i - 1].arrival_s == got.arrival_s) {
+                ++(timeline[i - 1].stream == got.stream ? within_stream_ties
+                                                        : cross_stream_ties);
+            }
+        }
+        // The stream set must actually exercise both tie-breaks.
+        EXPECT_GT(cross_stream_ties, 0u) << "seed " << seed;
+        EXPECT_GT(within_stream_ties, 0u) << "seed " << seed;
+    }
 }
 
 TEST(ServingDeterminism, ParallelHarnessEqualsSerial) {

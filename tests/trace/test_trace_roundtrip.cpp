@@ -197,6 +197,52 @@ TEST(TraceFormat, SliceAndMergeReconstructByteForByte) {
     EXPECT_EQ(read_file(full), read_file(merged));
 }
 
+TEST(TraceFormat, MergeInterleavesPerStreamTraces) {
+    const TempDir dir("interleave");
+    // Two periodic streams with one phase and rate tie exactly across
+    // streams; the fast bursty stream's clamped volleys tie within itself.
+    auto streams = serving_streams(24);
+    for (const char* name : {"tie_a", "tie_b", "burst_fast"}) {
+        serving::StreamSpec s;
+        s.name = name;
+        s.requests = 24;
+        s.arrival.kind = s.name == "burst_fast" ? serving::ArrivalKind::bursty
+                                                : serving::ArrivalKind::periodic;
+        s.arrival.rate_hz = s.name == "burst_fast" ? 500.0 : 2.0;
+        s.arrival.phase_s = 0.5;
+        streams.push_back(std::move(s));
+    }
+    const auto timeline = serving::build_request_timeline(streams, 8);
+    const auto full = dir.file("full.ltrc");
+    write_trace(full, streams, timeline);
+
+    // Write one trace per part (each a timeline-ordered subsequence with the
+    // full stream table) and merge them listed last part first, so input
+    // order cannot stand in for the (stream, frame_index) tie-break.
+    const auto merge_parts = [&](const std::string& tag, std::size_t parts,
+                                 const auto& part_of) {
+        std::vector<std::string> inputs;
+        for (std::size_t p = parts; p-- > 0;) {
+            std::vector<serving::Request> part;
+            for (const auto& r : timeline) {
+                if (part_of(r) == p) part.push_back(r);
+            }
+            inputs.push_back(dir.file(tag + std::to_string(p) + ".ltrc"));
+            write_trace(inputs.back(), streams, part);
+        }
+        const auto merged = dir.file(tag + "_merged.ltrc");
+        merge_traces(inputs, merged);
+        EXPECT_EQ(read_file(full), read_file(merged)) << tag;
+    };
+    merge_parts("stream", streams.size(),
+                [](const serving::Request& r) { return r.stream; });
+    // Splitting each stream by frame parity puts the two sides of every
+    // within-stream tie in different inputs.
+    merge_parts("parity", 2 * streams.size(), [](const serving::Request& r) {
+        return 2 * r.stream + r.frame.index % 2;
+    });
+}
+
 TEST(TraceFormat, SliceTimeSelectsTheArrivalWindow) {
     const TempDir dir("slicetime");
     const auto full = dir.file("full.ltrc");

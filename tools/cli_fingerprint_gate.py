@@ -76,6 +76,9 @@ RUNS = [
     ("trace_synth", "lotus_trace",
      ["synth", "synth.ltrc", "--requests", "10", "--streams", "2", "--arrival", "burst",
       "--burst", "3", "--rate", "0.5", "--slo", "700", "--seed", "3"], ["synth.ltrc"]),
+    ("trace_synth_many_streams", "lotus_trace",
+     ["synth", "synth9.ltrc", "--streams", "9", "--arrival", "attack", "--requests", "12"],
+     ["synth9.ltrc"]),
     ("trace_info", "lotus_trace", ["info", "synth.ltrc"], []),
     ("trace_cat", "lotus_trace", ["cat", "synth.ltrc", "--limit", "5"], []),
     ("trace_slice_ids", "lotus_trace",
@@ -162,6 +165,7 @@ PINNED = {
     "serve_scenario_fleet_resized": "356248cd19a0ad39",
     "serve_list_scenarios": "3128fcceb7133a41",
     "trace_synth": "96d131f2c1d2d379",
+    "trace_synth_many_streams": "f6e8ebfbff42bc39",
     "trace_info": "fd2655ec21394e3b",
     "trace_cat": "9e764054d3cf7cbb",
     "trace_slice_ids": "d18d225f5dc90eb6",

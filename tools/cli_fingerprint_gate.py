@@ -147,6 +147,10 @@ RUNS = [
       "--arrival", "burst", "--burst", "2", "--jobs", "1"], []),
     ("err_trace_flags_the_verb_ignores", "lotus_trace",
      ["info", "synth.ltrc", "--limit", "3", "--streams", "7", "--rate", "9"], []),
+    ("err_trace_slice_onto_input", "lotus_trace",
+     ["slice", "synth.ltrc", "./synth.ltrc", "--ids", "0:5"], ["synth.ltrc"]),
+    ("err_trace_merge_onto_input", "lotus_trace",
+     ["merge", "head.ltrc", "head.ltrc", "tail.ltrc"], ["head.ltrc"]),
     # --- the paper's figures and tables, byte-identical to the ten
     # per-figure binaries it replaced, run in order and concatenated
     ("bench_paper", "bench_paper", [], []),
@@ -209,6 +213,8 @@ PINNED = {
     "err_trace_missing_file": "012de683a77b5e22",
     "err_sweep_stream_flags_with_trace": "8c2b1bc9053445a8",
     "err_trace_flags_the_verb_ignores": "37200569f43b5b3a",
+    "err_trace_slice_onto_input": "939f8da82474e3d0",
+    "err_trace_merge_onto_input": "fea265fbd7e8219f",
     "bench_paper": "b4c8992db98e8e84",
 }
 

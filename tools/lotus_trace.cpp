@@ -31,6 +31,10 @@
 //       streams of N requests each would generate, straight to disk in
 //       O(K) memory -- million-request traces in seconds.
 //
+// slice and merge refuse an OUT that names one of their inputs, however the
+// path is spelled (exit 2): the writer would truncate the trace before it is
+// read.
+//
 // Each verb accepts only the flags it reads: --seed applies only where a
 // timeline is generated (record, synth), --limit only to cat, and so on; a
 // flag the verb would ignore exits 2 instead.
@@ -38,6 +42,7 @@
 // exit 1 with a message naming the file and the defect.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -67,6 +72,18 @@ std::pair<T, T> parse_range(const std::string& flag, const std::string& raw, Par
         cli::usage_error(kTool, flag + " wants A:B, got '" + raw + "'");
     }
     return {parse(raw.substr(0, colon)), parse(raw.substr(colon + 1))};
+}
+
+/// Usage error when `out` is one of `inputs` (same file, however spelled):
+/// opening the Writer would truncate that input before it is read.
+void refuse_overwriting_input(const std::string& out, const std::vector<std::string>& inputs) {
+    for (const auto& in : inputs) {
+        std::error_code ec; // a missing OUT (the usual case) is no match
+        if (std::filesystem::equivalent(in, out, ec)) {
+            cli::usage_error(kTool, "output '" + out + "' is the input '" + in +
+                                        "' (writing it would destroy the trace being read)");
+        }
+    }
 }
 
 int cmd_record(const cli::Flags& f, const Args& a) {
@@ -142,6 +159,7 @@ int cmd_slice(const cli::Flags&, const Args& a) {
     if (a.ids_range.empty() == a.time_range.empty()) {
         cli::usage_error(kTool, "slice wants exactly one of --ids A:B / --time A:B");
     }
+    refuse_overwriting_input(a.positional[1], {a.positional[0]});
     trace::Reader in(a.positional[0]);
     if (!a.ids_range.empty()) {
         const auto [b, e] = parse_range<std::uint64_t>("--ids", a.ids_range,
@@ -167,6 +185,7 @@ int cmd_slice(const cli::Flags&, const Args& a) {
 int cmd_merge(const cli::Flags&, const Args& a) {
     if (a.positional.size() < 3) cli::usage_error(kTool, "merge wants OUT IN1 IN2 [IN3 ...]");
     const std::vector<std::string> inputs(a.positional.begin() + 1, a.positional.end());
+    refuse_overwriting_input(a.positional[0], inputs);
     trace::merge_traces(inputs, a.positional[0]);
     const trace::Reader out(a.positional[0]);
     std::printf("%s: %llu records from %zu inputs\n", a.positional[0].c_str(),

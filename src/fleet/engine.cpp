@@ -14,7 +14,6 @@
 #include "serving/device_step.hpp"
 #include "serving/engine.hpp"
 #include "telemetry/recorder.hpp"
-#include "trace/record.hpp"
 #include "util/rng.hpp"
 
 namespace lotus::fleet {
@@ -128,13 +127,6 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
     (void)make_router(config_.router); // throws on unknown router
 }
 
-std::vector<serving::Request> FleetEngine::build_requests() const {
-    if (!config_.replay_trace.empty()) {
-        return trace::load_requests(config_.replay_trace, config_.streams);
-    }
-    return serving::build_request_timeline(config_.streams, config_.seed);
-}
-
 std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
                                          std::size_t index) const {
     return util::derive_seed(governor_seed_root,
@@ -182,7 +174,8 @@ FleetTrace run_routed(const FleetEngine& engine,
         w->expected_service_s = constraint;
     }
 
-    const auto requests = engine.build_requests();
+    const auto requests =
+        serving::replay_or_generate(cfg.streams, cfg.seed, cfg.replay_trace);
 
     std::vector<std::string> device_names;
     for (const auto& d : cfg.devices) device_names.push_back(d.id);

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -50,12 +49,12 @@ struct ArrivalSpec {
     double diurnal_floor = 0.2;
 };
 
-/// Streaming arrival-time generator: emits the same sequence
-/// generate_arrivals materialises, one value per next() call, in O(1)
-/// memory -- the primitive behind trace synthesis of million-request
-/// timelines. Arrivals are clamped non-decreasing (volley processes can
-/// mathematically overlap adjacent volleys at extreme rates) and every
-/// value is finite. Deterministic in (spec, count, seed).
+/// Streaming arrival-time generator: `count` ascending arrival times, one
+/// value per next() call, in O(1) memory -- the per-stream primitive behind
+/// every generated timeline (serving::stream_sources). Arrivals are clamped
+/// non-decreasing (volley processes can mathematically overlap adjacent
+/// volleys at extreme rates) and every value is finite. Deterministic in
+/// (spec, count, seed).
 class ArrivalGenerator {
 public:
     /// Validates the spec; throws std::invalid_argument for non-positive
@@ -89,11 +88,5 @@ private:
     double last_ = 0.0;
     bool have_last_ = false;
 };
-
-/// Generate `count` ascending arrival times. Deterministic in (spec, count,
-/// seed). Throws std::invalid_argument for non-positive rates or zero burst
-/// sizes. Equivalent to draining an ArrivalGenerator.
-[[nodiscard]] std::vector<double> generate_arrivals(const ArrivalSpec& spec,
-                                                    std::size_t count, std::uint64_t seed);
 
 } // namespace lotus::serving

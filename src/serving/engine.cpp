@@ -1,12 +1,14 @@
 #include "serving/engine.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "prof/profiler.hpp"
 #include "serving/device_step.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
+#include "workload/dataset.hpp"
 
 namespace lotus::serving {
 
@@ -14,14 +16,57 @@ ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) 
     validate_streams(config_.streams, config_.scheduler, "ServingEngine");
 }
 
-std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& stream_name,
-                                  std::size_t index) {
-    return util::derive_seed(seed, "arrivals/" + stream_name, index);
+void merge_timeline(std::vector<RequestSource> sources, const RequestSink& sink) {
+    std::vector<Request> heads(sources.size());
+    std::vector<std::size_t> heap;
+    heap.reserve(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+        if (sources[i](heads[i])) heap.push_back(i);
+    }
+    // The std heap keeps its greatest element on top, so the heap orders by
+    // "later in the timeline" to surface the earliest head.
+    const auto later = [&heads](std::size_t a, std::size_t b) {
+        const Request& x = heads[a];
+        const Request& y = heads[b];
+        return std::tie(y.arrival_s, y.stream, y.frame.index, b) <
+               std::tie(x.arrival_s, x.stream, x.frame.index, a);
+    };
+    std::make_heap(heap.begin(), heap.end(), later);
+    for (std::size_t id = 0; !heap.empty(); ++id) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const std::size_t i = heap.back();
+        heads[i].id = id;
+        sink(heads[i]);
+        if (sources[i](heads[i])) {
+            std::push_heap(heap.begin(), heap.end(), later);
+        } else {
+            heap.pop_back();
+        }
+    }
 }
 
-std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_name,
-                                std::size_t index) {
-    return util::derive_seed(seed, "frames/" + stream_name, index);
+std::vector<RequestSource> stream_sources(const std::vector<StreamSpec>& streams,
+                                          std::uint64_t seed) {
+    std::vector<RequestSource> sources;
+    sources.reserve(streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        const auto& stream = streams[s];
+        sources.emplace_back(
+            [s, slo_s = stream.slo_s,
+             arrivals = ArrivalGenerator(stream.arrival, stream.requests,
+                                         util::derive_seed(seed, "arrivals/" + stream.name, s)),
+             frames = workload::FrameStream(
+                 workload::dataset_by_name(stream.dataset),
+                 util::derive_seed(seed, "frames/" + stream.name, s))](Request& r) mutable {
+                if (arrivals.done()) return false;
+                r.stream = s;
+                r.arrival_s = arrivals.next();
+                r.slo_s = slo_s;
+                r.frame = frames.next();
+                return true;
+            });
+    }
+    return sources;
 }
 
 std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
@@ -30,40 +75,18 @@ std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& strea
     std::size_t total = 0;
     for (const auto& stream : streams) total += stream.requests;
     all.reserve(total);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        const auto& stream = streams[s];
-        const auto arrivals = generate_arrivals(
-            stream.arrival, stream.requests,
-            arrival_stream_seed(seed, stream.name, s));
-        workload::FrameStream frames(
-            workload::dataset_by_name(stream.dataset),
-            frame_stream_seed(seed, stream.name, s));
-        for (std::size_t k = 0; k < stream.requests; ++k) {
-            Request r;
-            r.stream = s;
-            r.arrival_s = arrivals[k];
-            r.slo_s = stream.slo_s;
-            r.frame = frames.next();
-            all.push_back(std::move(r));
-        }
-    }
-    // Merge the per-stream timelines; ids are global arrival order so every
-    // scheduler tie-break is a pure function of the timeline.
-    std::sort(all.begin(), all.end(), [](const Request& a, const Request& b) {
-        if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-        if (a.stream != b.stream) return a.stream < b.stream;
-        return a.frame.index < b.frame.index;
-    });
-    for (std::size_t i = 0; i < all.size(); ++i) all[i].id = i;
-    trace::maybe_record(streams, all);
+    merge_timeline(stream_sources(streams, seed),
+                   [&all](const Request& r) { all.push_back(r); });
     return all;
 }
 
-std::vector<Request> ServingEngine::build_requests() const {
-    if (!config_.replay_trace.empty()) {
-        return trace::load_requests(config_.replay_trace, config_.streams);
-    }
-    return build_request_timeline(config_.streams, config_.seed);
+std::vector<Request> replay_or_generate(const std::vector<StreamSpec>& streams,
+                                        std::uint64_t seed, const std::string& replay_trace) {
+    auto requests = replay_trace.empty()
+                        ? build_request_timeline(streams, seed)
+                        : trace::TraceArrivalSource(replay_trace).requests(streams);
+    trace::maybe_record(streams, requests);
+    return requests;
 }
 
 ServingTrace ServingEngine::run(governors::Governor& governor) const {
@@ -77,7 +100,8 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
                  config_.pretrain_constraint_s > 0.0 ? config_.pretrain_constraint_s
                                                      : warm.slo_s);
 
-    const auto requests = build_requests();
+    const auto requests =
+        replay_or_generate(config_.streams, config_.seed, config_.replay_trace);
     std::vector<std::string> names;
     names.reserve(config_.streams.size());
     for (const auto& s : config_.streams) names.push_back(s.name);

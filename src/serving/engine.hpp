@@ -25,29 +25,49 @@
 // streams and scheduler, so harness episodes execute from concurrent
 // threads, one governor per thread, byte-identically to a serial run.
 
+#include <functional>
+
 #include "governors/governor.hpp"
 #include "serving/request.hpp"
 #include "serving/trace.hpp"
 
 namespace lotus::serving {
 
-/// Materialise the merged, arrival-ordered request timeline of a stream set:
-/// per-stream arrival times and frame samples are pure functions of
-/// (seed, stream name, stream index), then the per-stream timelines merge
-/// with deterministic tie-breaks and ids in global arrival order.
+/// Pulls one source's requests in timeline order: fills every field of the
+/// next request but its id, or returns false once the source is exhausted.
+using RequestSource = std::function<bool(Request&)>;
+/// Receives a merged timeline one request at a time.
+using RequestSink = std::function<void(const Request&)>;
+
+/// The one definition of timeline order. Streams the heads of `sources`
+/// (each already in timeline order) into `sink` earliest first by
+/// (arrival_s, stream, frame.index), lower source index on a full tie,
+/// with ids renumbered 0..n-1 in that order. A binary heap keeps it
+/// O(log sources) per request and O(sources) memory, so generated,
+/// synthesised and merged timelines all go through it.
+void merge_timeline(std::vector<RequestSource> sources, const RequestSink& sink);
+
+/// One generating source per stream: stream s draws its arrival times and
+/// frame samples from an ArrivalGenerator and a FrameStream seeded from
+/// (seed, stream name, s), so every stream is a pure function of the seed.
+/// Validates each stream's arrival spec and dataset (throws
+/// std::invalid_argument) before any request is drawn.
+[[nodiscard]] std::vector<RequestSource> stream_sources(const std::vector<StreamSpec>& streams,
+                                                        std::uint64_t seed);
+
+/// The merged request timeline of a stream set, materialised:
+/// merge_timeline over stream_sources.
 [[nodiscard]] std::vector<Request> build_request_timeline(
     const std::vector<StreamSpec>& streams, std::uint64_t seed);
 
-/// The derive_seed inputs build_request_timeline uses for stream `index`'s
-/// arrival process / frame stream. Exported so trace synthesis
-/// (trace::synth_trace) can reproduce a timeline stream-by-stream without
-/// materialising it.
-[[nodiscard]] std::uint64_t arrival_stream_seed(std::uint64_t seed,
-                                                const std::string& stream_name,
-                                                std::size_t index);
-[[nodiscard]] std::uint64_t frame_stream_seed(std::uint64_t seed,
-                                              const std::string& stream_name,
-                                              std::size_t index);
+/// The timeline an engine serves: the trace recorded at `replay_trace`
+/// (checked against `streams`) when set, else
+/// build_request_timeline(streams, seed). The one trace capture hook: under
+/// a trace::CaptureScope the timeline is written to the scope's path, so
+/// recording a replay reproduces its input trace.
+[[nodiscard]] std::vector<Request> replay_or_generate(const std::vector<StreamSpec>& streams,
+                                                      std::uint64_t seed,
+                                                      const std::string& replay_trace);
 
 class ServingEngine {
 public:
@@ -56,10 +76,6 @@ public:
 
     /// Serve every stream's requests to completion under the governor.
     [[nodiscard]] ServingTrace run(governors::Governor& governor) const;
-
-    /// The merged, arrival-ordered request timeline this config generates
-    /// (exposed for tests and load inspection).
-    [[nodiscard]] std::vector<Request> build_requests() const;
 
     [[nodiscard]] const ServingConfig& config() const noexcept { return config_; }
 

@@ -273,52 +273,4 @@ void slice_time(Reader& in, const std::string& out_path, double t0, double t1) {
     out.close();
 }
 
-void merge_traces(const std::vector<std::string>& inputs, const std::string& out_path) {
-    if (inputs.empty()) {
-        throw std::invalid_argument("trace merge: no input traces");
-    }
-    std::vector<Reader> readers;
-    readers.reserve(inputs.size());
-    for (const auto& path : inputs) readers.emplace_back(path);
-    for (std::size_t i = 1; i < readers.size(); ++i) {
-        if (!same_streams(readers[0].info().streams, readers[i].info().streams)) {
-            throw std::runtime_error("trace merge: '" + inputs[i] +
-                                     "' has a different stream table than '" +
-                                     inputs[0] + "' (merge needs slices of one trace)");
-        }
-    }
-
-    // K-way merge of already-sorted inputs; ids renumber in merge order so
-    // merging the slices of a trace reconstructs it byte-for-byte.
-    struct Head {
-        TraceRecord rec;
-        bool live = false;
-    };
-    std::vector<Head> heads(readers.size());
-    for (std::size_t i = 0; i < readers.size(); ++i) {
-        heads[i].live = readers[i].next(heads[i].rec);
-    }
-    const auto before = [](const TraceRecord& a, const TraceRecord& b) {
-        if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-        if (a.stream != b.stream) return a.stream < b.stream;
-        return a.frame_index < b.frame_index;
-    };
-
-    Writer out(out_path, readers[0].info().streams);
-    std::uint64_t next_id = 0;
-    for (;;) {
-        std::size_t best = heads.size();
-        for (std::size_t i = 0; i < heads.size(); ++i) {
-            if (!heads[i].live) continue;
-            if (best == heads.size() || before(heads[i].rec, heads[best].rec)) best = i;
-        }
-        if (best == heads.size()) break;
-        TraceRecord rec = heads[best].rec;
-        rec.id = next_id++;
-        out.add(rec);
-        heads[best].live = readers[best].next(heads[best].rec);
-    }
-    out.close();
-}
-
 } // namespace lotus::trace

@@ -1,9 +1,11 @@
 #pragma once
 // Compact binary request-trace format (.ltrc).
 //
-// A trace is a serving/fleet request timeline frozen on disk: the merged,
-// arrival-sorted output of serving::build_request_timeline, one fixed-width
-// record per request. Replaying a trace through TraceArrivalSource
+// A trace is a serving/fleet request timeline frozen on disk: the output of
+// serving::build_request_timeline, one fixed-width record per request in
+// timeline order -- (arrival_s, stream, frame_index), the key of
+// serving::merge_timeline. merge_traces (trace/record.hpp) joins traces
+// through that same merge. Replaying a trace through TraceArrivalSource
 // (trace/record.hpp) reproduces the generating episode byte-for-byte, so
 // timelines of millions of requests can be recorded once and diffed,
 // sliced, sharded and replayed across PRs without re-deriving them.
@@ -22,7 +24,7 @@
 //   stream table (variable): per stream, in stream-id order:
 //     u32 name_len, name bytes, u32 dataset_len, dataset bytes,
 //     f64 slo_s, u64 requests
-//   records (kRecordBytes each, arrival-sorted):
+//   records (kRecordBytes each, in timeline order):
 //     u64 id, u32 stream, i32 proposals, f64 arrival_s, f64 slo_s,
 //     f64 resolution_scale, f64 complexity, f64 jitter, u64 frame_index
 //
@@ -146,12 +148,5 @@ void slice_records(Reader& in, const std::string& out_path, std::uint64_t begin,
 /// Copy the records of `in` whose arrival_s lies in [t0, t1) into a new
 /// trace at `out_path` (ids kept). Streams the whole trace once.
 void slice_time(Reader& in, const std::string& out_path, double t0, double t1);
-
-/// K-way-merge the (arrival-sorted) inputs into `out_path`, renumbering
-/// ids 0..n-1 in merge order. All inputs must share one stream table;
-/// ordering ties break on (stream, frame_index), which is a strict total
-/// order for timelines produced by build_request_timeline, so merging the
-/// slices of a trace reconstructs it byte-for-byte.
-void merge_traces(const std::vector<std::string>& inputs, const std::string& out_path);
 
 } // namespace lotus::trace

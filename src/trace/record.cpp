@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "serving/engine.hpp"
-#include "workload/dataset.hpp"
 
 namespace lotus::trace {
 
@@ -173,81 +172,46 @@ std::vector<serving::StreamSpec> TraceArrivalSource::stream_specs() const {
     return specs;
 }
 
-std::vector<serving::Request> load_requests(
-    const std::string& path, const std::vector<serving::StreamSpec>& streams) {
-    const TraceArrivalSource source(path);
-    auto requests = source.requests(streams);
-    // Replay under a CaptureScope re-records the input: record(replay(t)) == t.
-    maybe_record(streams, requests);
-    return requests;
-}
-
 void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
                  std::uint64_t seed) {
     if (streams.empty()) {
         throw std::invalid_argument("synth_trace: no streams configured");
     }
-    // One lazily-advanced (arrival generator, frame stream) pair per
-    // stream; the k-way merge below reproduces build_request_timeline's
-    // (arrival_s, stream, frame.index) sort order without ever holding
-    // more than one pending request per stream.
-    struct Head {
-        serving::ArrivalGenerator arrivals;
-        workload::FrameStream frames;
-        double arrival_s = 0.0;
-        workload::FrameSample frame;
-        bool live = false;
-    };
-    std::vector<Head> heads;
-    heads.reserve(streams.size());
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        const auto& stream = streams[s];
-        heads.push_back(Head{
-            serving::ArrivalGenerator(stream.arrival, stream.requests,
-                                      serving::arrival_stream_seed(seed, stream.name, s)),
-            workload::FrameStream(workload::dataset_by_name(stream.dataset),
-                                  serving::frame_stream_seed(seed, stream.name, s)),
-            0.0, workload::FrameSample{}, false});
-        auto& head = heads.back();
-        if (!head.arrivals.done()) {
-            head.arrival_s = head.arrivals.next();
-            head.frame = head.frames.next();
-            head.live = true;
-        }
-    }
-
+    auto sources = serving::stream_sources(streams, seed);
     create_parent_dirs(path);
     Writer out(path, stream_table(streams));
-    std::uint64_t next_id = 0;
-    for (;;) {
-        std::size_t best = heads.size();
-        for (std::size_t i = 0; i < heads.size(); ++i) {
-            if (!heads[i].live) continue;
-            if (best == heads.size() || heads[i].arrival_s < heads[best].arrival_s ||
-                (heads[i].arrival_s == heads[best].arrival_s && i < best)) {
-                best = i;
-            }
-        }
-        if (best == heads.size()) break;
-        auto& head = heads[best];
-        TraceRecord rec;
-        rec.id = next_id++;
-        rec.stream = static_cast<std::uint32_t>(best);
-        rec.proposals = head.frame.proposals;
-        rec.arrival_s = head.arrival_s;
-        rec.slo_s = streams[best].slo_s;
-        rec.resolution_scale = head.frame.resolution_scale;
-        rec.complexity = head.frame.complexity;
-        rec.jitter = head.frame.jitter;
-        rec.frame_index = head.frame.index;
-        out.add(rec);
-        if (!head.arrivals.done()) {
-            head.arrival_s = head.arrivals.next();
-            head.frame = head.frames.next();
-        } else {
-            head.live = false;
+    serving::merge_timeline(std::move(sources),
+                            [&out](const serving::Request& r) { out.add(to_record(r)); });
+    out.close();
+}
+
+void merge_traces(const std::vector<std::string>& inputs, const std::string& out_path) {
+    if (inputs.empty()) {
+        throw std::invalid_argument("trace merge: no input traces");
+    }
+    std::vector<Reader> readers;
+    readers.reserve(inputs.size());
+    for (const auto& path : inputs) readers.emplace_back(path);
+    for (std::size_t i = 1; i < readers.size(); ++i) {
+        if (!same_streams(readers[0].info().streams, readers[i].info().streams)) {
+            throw std::runtime_error("trace merge: '" + inputs[i] +
+                                     "' has a different stream table than '" +
+                                     inputs[0] + "' (merge needs slices of one trace)");
         }
     }
+    std::vector<serving::RequestSource> sources;
+    sources.reserve(readers.size());
+    for (auto& reader : readers) {
+        sources.emplace_back([&reader](serving::Request& r) {
+            TraceRecord rec;
+            if (!reader.next(rec)) return false;
+            r = to_request(rec);
+            return true;
+        });
+    }
+    Writer out(out_path, readers[0].info().streams);
+    serving::merge_timeline(std::move(sources),
+                            [&out](const serving::Request& r) { out.add(to_record(r)); });
     out.close();
 }
 

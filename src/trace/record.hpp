@@ -3,16 +3,20 @@
 //
 // Capture is an ambient, thread-local concern: the harness binds a
 // CaptureScope with the episode's trace path around the engine run, and
-// serving::build_request_timeline calls maybe_record() on the timeline it
-// just assembled. One hook covers both the serving and the fleet engine
-// (the fleet delegates its timeline to the same function), and episodes on
-// other worker threads are unaffected.
+// serving::replay_or_generate calls maybe_record() on the timeline it hands
+// the engine, generated or replayed. That one call covers both the serving
+// and the fleet engine, and episodes on other worker threads are
+// unaffected.
 //
 // Replay is explicit: ServingConfig/FleetConfig carry a `replay_trace`
-// path, and the engines build their timeline from TraceArrivalSource
-// instead of the analytic arrival processes. A replayed episode consumes
-// the exact recorded timeline, so its scenario JSON, ledgers and telemetry
-// are byte-identical to the generating run's.
+// path, and replay_or_generate then builds the timeline from
+// TraceArrivalSource instead of the analytic arrival processes. A replayed
+// episode consumes the exact recorded timeline, so its scenario JSON,
+// ledgers and telemetry are byte-identical to the generating run's.
+//
+// synth_trace and merge_traces stream through serving::merge_timeline, the
+// same merge that orders a generated timeline, so a synthesised trace, the
+// merge of a trace's slices and the recorded timeline agree byte for byte.
 
 #include <cstdint>
 #include <string>
@@ -55,8 +59,8 @@ void write_trace(const std::string& path, const std::vector<serving::StreamSpec>
 
 /// Capture hook: when this thread has a CaptureScope bound, dump the
 /// timeline to its path. No-op otherwise. Called by
-/// serving::build_request_timeline and by replay, so recording a replayed
-/// episode reproduces the input trace.
+/// serving::replay_or_generate for generated and replayed timelines alike,
+/// so recording a replayed episode reproduces the input trace.
 void maybe_record(const std::vector<serving::StreamSpec>& streams,
                   const std::vector<serving::Request>& requests);
 
@@ -85,18 +89,19 @@ private:
     TraceInfo info_;
 };
 
-/// Replay entry point used by the engines: materialise `path` against the
-/// configured streams, then re-run the capture hook so replay under a
-/// CaptureScope round-trips the file.
-[[nodiscard]] std::vector<serving::Request> load_requests(
-    const std::string& path, const std::vector<serving::StreamSpec>& streams);
-
 /// Synthesise the exact timeline `build_request_timeline(streams, seed)`
-/// would produce, streamed straight to disk: per-stream arrival generators
-/// and frame streams advance lazily under a k-way merge, so a
-/// million-request trace costs O(streams) memory and never materialises
-/// the request vector.
+/// would produce, streamed straight to disk: serving::merge_timeline pulls
+/// the per-stream generators lazily, so a million-request trace costs
+/// O(streams) memory and never materialises the request vector.
 void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
                  std::uint64_t seed);
+
+/// Merge timeline-ordered inputs that share one stream table into
+/// `out_path` through serving::merge_timeline: (arrival_s, stream,
+/// frame_index) order, ids renumbered 0..n-1. That key is a strict total
+/// order on a generated timeline, so merging any split of a trace into
+/// ordered parts -- id slices, or one part per stream -- reconstructs it
+/// byte for byte. Throws std::runtime_error on mismatched stream tables.
+void merge_traces(const std::vector<std::string>& inputs, const std::string& out_path);
 
 } // namespace lotus::trace

@@ -113,7 +113,8 @@ TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
     const FleetEngine engine(small_config());
     const auto trace = engine.run(fixed_factory(5, 3), 1);
 
-    const auto requests = engine.build_requests();
+    const auto requests =
+        serving::build_request_timeline(engine.config().streams, engine.config().seed);
     ASSERT_EQ(trace.size(), requests.size());
     std::set<std::size_t> seen;
     for (const auto& r : trace.records()) {
@@ -135,18 +136,6 @@ TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
     }
     EXPECT_EQ(by_device, requests.size());
     EXPECT_EQ(by_stream, requests.size());
-}
-
-TEST(FleetEngine, DispatcherTimelineMatchesServingDerivation) {
-    const auto cfg = small_config();
-    const auto fleet_requests = FleetEngine(cfg).build_requests();
-    const auto serving_requests =
-        serving::build_request_timeline(cfg.streams, cfg.seed);
-    ASSERT_EQ(fleet_requests.size(), serving_requests.size());
-    for (std::size_t i = 0; i < fleet_requests.size(); ++i) {
-        EXPECT_EQ(fleet_requests[i].arrival_s, serving_requests[i].arrival_s);
-        EXPECT_EQ(fleet_requests[i].stream, serving_requests[i].stream);
-    }
 }
 
 TEST(FleetEngine, RunRepeatsByteIdentically) {
@@ -249,7 +238,7 @@ TEST(FleetEngine, ReplayedIdsFromAFileNeverIndexEngineState) {
     fs::remove_all(dir);
     fs::create_directories(dir);
 
-    auto requests = FleetEngine(cfg).build_requests();
+    auto requests = serving::build_request_timeline(cfg.streams, cfg.seed);
     for (auto& r : requests) r.id += std::size_t{1} << 40;
     const auto crafted = (dir / "crafted.ltrc").string();
     trace::write_trace(crafted, cfg.streams, requests);

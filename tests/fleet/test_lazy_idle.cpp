@@ -20,6 +20,7 @@
 #include "governors/linux_governors.hpp"
 #include "platform/presets.hpp"
 #include "prof/profiler.hpp"
+#include "serving/engine.hpp"
 
 namespace lotus::fleet {
 namespace {
@@ -180,7 +181,7 @@ TEST(LazyIdle, IdleClockOvershootDoesNotMoveBacklog) {
     const auto eager = run_with(cfg, flip_flop(), /*eager=*/true, &seen);
     const auto lazy = run_with(cfg, flip_flop(), /*eager=*/false);
 
-    const auto requests = FleetEngine(cfg).build_requests();
+    const auto requests = serving::build_request_timeline(cfg.streams, cfg.seed);
     ASSERT_EQ(seen.size(), requests.size());
     std::size_t idle_views = 0;
     for (std::size_t r = 0; r < seen.size(); ++r) {
@@ -202,7 +203,8 @@ TEST(LazyIdle, UnroutedDeviceStillIdlesToTheLastArrival) {
     const auto cfg = pool(3, 6);
     const FleetEngine engine(cfg);
     const auto trace = run_routed(engine, ondemand(), 1, std::make_unique<PinToFirst>());
-    const double last_arrival = engine.build_requests().back().arrival_s;
+    const double last_arrival =
+        serving::build_request_timeline(cfg.streams, cfg.seed).back().arrival_s;
 
     for (std::size_t d = 1; d < cfg.devices.size(); ++d) {
         EXPECT_EQ(trace.device_summary(d).served, 0u) << "device " << d;

@@ -86,9 +86,9 @@ TEST(ServingDeterminism, EngineRepeatsByteIdentically) {
 
 TEST(ServingDeterminism, SeedChangesTheTimeline) {
     auto cfg = small_config();
-    const auto a = ServingEngine(cfg).build_requests();
+    const auto a = build_request_timeline(cfg.streams, cfg.seed);
     cfg.seed = 78;
-    const auto b = ServingEngine(cfg).build_requests();
+    const auto b = build_request_timeline(cfg.streams, cfg.seed);
     ASSERT_EQ(a.size(), b.size());
     bool any_different = false;
     for (std::size_t i = 0; i < a.size(); ++i) {

@@ -79,8 +79,8 @@ TEST(ServingEngine, ValidatesConfig) {
 }
 
 TEST(ServingEngine, BuildsMergedTimeline) {
-    const ServingEngine engine(base_config(3, 4, 1.0));
-    const auto requests = engine.build_requests();
+    const auto cfg = base_config(3, 4, 1.0);
+    const auto requests = build_request_timeline(cfg.streams, cfg.seed);
     ASSERT_EQ(requests.size(), 12u);
     std::size_t per_stream[3] = {0, 0, 0};
     for (std::size_t i = 0; i < requests.size(); ++i) {

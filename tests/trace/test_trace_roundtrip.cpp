@@ -77,6 +77,12 @@ std::vector<serving::StreamSpec> serving_streams(std::size_t requests) {
     return streams;
 }
 
+/// The engines' replay path for a trace recorded from `streams`.
+std::vector<serving::Request> replay(const std::string& path,
+                                     const std::vector<serving::StreamSpec>& streams) {
+    return serving::replay_or_generate(streams, 0, path);
+}
+
 std::vector<char> read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -151,14 +157,14 @@ TEST(TraceFormat, RequestConversionRoundTrips) {
     }
 }
 
-TEST(TraceFormat, WriteTraceLoadRequestsIsLossless) {
+TEST(TraceFormat, WriteTraceReplayIsLossless) {
     const TempDir dir("timeline");
     const auto path = dir.file("t.ltrc");
     const auto streams = serving_streams(32);
     const auto requests = serving::build_request_timeline(streams, 11);
     write_trace(path, streams, requests);
 
-    const auto loaded = load_requests(path, streams);
+    const auto loaded = replay(path, streams);
     ASSERT_EQ(loaded.size(), requests.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_TRUE(same_record(to_record(loaded[i]), to_record(requests[i])))
@@ -389,14 +395,14 @@ TEST(TraceFormat, WriterRejectsOutOfRangeStreamId) {
     EXPECT_THROW(writer.add(rec), std::invalid_argument);
 }
 
-TEST(TraceFormat, LoadRequestsRejectsMismatchedStreams) {
+TEST(TraceFormat, ReplayRejectsMismatchedStreams) {
     const TempDir dir("replaymismatch");
     const auto path = dir.file("t.ltrc");
     auto streams = serving_streams(8);
     synth_trace(path, streams, 2);
     streams[1].requests += 1;
     try {
-        (void)load_requests(path, streams);
+        (void)replay(path, streams);
         FAIL() << "mismatched stream table accepted";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("stream table"), std::string::npos)
@@ -404,7 +410,7 @@ TEST(TraceFormat, LoadRequestsRejectsMismatchedStreams) {
     }
 }
 
-TEST(TraceFormat, LoadRequestsRejectsBadArrivals) {
+TEST(TraceFormat, ReplayRejectsBadArrivals) {
     const TempDir dir("badarrivals");
     const auto streams = serving_streams(8);
     const auto timeline = serving::build_request_timeline(streams, 9);
@@ -416,7 +422,7 @@ TEST(TraceFormat, LoadRequestsRejectsBadArrivals) {
         const auto path = dir.file(name + ".ltrc");
         write_trace(path, streams, requests);
         try {
-            (void)load_requests(path, streams);
+            (void)replay(path, streams);
             ADD_FAILURE() << name << " record accepted";
         } catch (const std::runtime_error& e) {
             EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
@@ -462,7 +468,7 @@ TEST(TraceFormat, CaptureScopeRecordsTimelineBuilds) {
     {
         CaptureScope scope(path);
         ASSERT_NE(capture_path(), nullptr);
-        (void)serving::build_request_timeline(streams, 77);
+        (void)serving::replay_or_generate(streams, 77, "");
     }
     EXPECT_EQ(capture_path(), nullptr);
 
@@ -479,7 +485,7 @@ TEST(TraceFormat, RecordingAReplayRoundTripsTheFile) {
     synth_trace(original, streams, 4);
     {
         CaptureScope scope(rerecorded);
-        (void)load_requests(original, streams);
+        (void)replay(original, streams);
     }
     EXPECT_EQ(read_file(original), read_file(rerecorded));
 }

@@ -28,7 +28,7 @@ namespace lotus::serving {
 
 /// One in-flight inference request.
 struct Request {
-    /// Global sequence number in arrival order (ties broken by stream index).
+    /// Global sequence number in timeline order (see merge_timeline).
     std::size_t id = 0;
     /// Index into ServingConfig::streams.
     std::size_t stream = 0;
